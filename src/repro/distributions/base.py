@@ -101,6 +101,32 @@ class LifetimeDistribution(abc.ABC):
         )
         return flat.reshape(a_arr.shape)
 
+    def reuse_window_terms(self, ages, lengths):
+        """The three Eq. 8 terms of a job window, over broadcast arrays.
+
+        For a job of length ``T`` started on a VM aged ``s`` (``s >= 0``,
+        ``T > 0``; callers validate), returns ``(moment, surv, mass)``:
+
+        * ``moment`` — ``int_s^{s+T} t f(t) dt`` with both bounds clipped
+          to ``[0, t_max]`` (:meth:`truncated_first_moment_batch`);
+        * ``surv`` — survival ``S(s)`` at the start age;
+        * ``mass`` — the failure mass ``F(min(s+T, t_max)) - F(s)`` of
+          the window.
+
+        This composition is the reference every override must match
+        bit for bit; laws with a closed form (bathtub) override it with
+        one fused pass that shares the transcendental terms.  Consumed
+        by :meth:`repro.policies.scheduling.ModelReusePolicy.reuse_cost_pairs`.
+        """
+        s = np.asarray(ages, dtype=float)
+        end = s + np.asarray(lengths, dtype=float)
+        moment = np.asarray(self.truncated_first_moment_batch(s, end), dtype=float)
+        surv = np.asarray(self.sf(s), dtype=float)
+        mass = np.asarray(
+            self.cdf(np.minimum(end, self.t_max)), dtype=float
+        ) - np.asarray(self.cdf(s), dtype=float)
+        return moment, surv, mass
+
     def mean(self) -> float:
         """Mean lifetime over ``[0, t_max]``."""
         return self.truncated_first_moment(0.0, self.t_max)

@@ -70,7 +70,7 @@ def job_failure_probability_batch(
     """
     T = check_positive("job_length", job_length)
     s = np.asarray(start_ages, dtype=float)
-    if np.any(s < 0.0):
+    if not (s >= 0.0).all():  # negated so NaN is rejected too
         raise ValueError("start_ages must be >= 0")
     surv = np.asarray(dist.sf(s), dtype=float)
     mass = np.asarray(dist.cdf(s + T), dtype=float) - np.asarray(
@@ -177,20 +177,15 @@ class ModelReusePolicy:
         """
         T = np.asarray(job_lengths, dtype=float)
         s = np.asarray(vm_ages, dtype=float)
-        if np.any(T <= 0.0):
+        # Negated comparisons so that NaN is rejected too (the scalar
+        # form's check_positive/check_nonnegative contract).
+        if not (T > 0.0).all():
             raise ValueError("job_lengths must be > 0")
-        if np.any(s < 0.0):
+        if not (s >= 0.0).all():
             raise ValueError("vm_ages must be >= 0")
-        moment = np.asarray(
-            self.dist.truncated_first_moment_batch(s, s + T), dtype=float
-        )
+        moment, surv, mass = self.dist.reuse_window_terms(s, T)
         if self.criterion == "paper":
             return moment
-        surv = np.asarray(self.dist.sf(s), dtype=float)
-        end = np.minimum(s + T, self.dist.t_max)
-        mass = np.asarray(self.dist.cdf(end), dtype=float) - np.asarray(
-            self.dist.cdf(s), dtype=float
-        )
         safe = np.where(surv > 0.0, surv, 1.0)
         cost = np.maximum(moment - s * mass, 0.0) / safe
         return np.where(surv > 0.0, cost, np.inf)
@@ -206,12 +201,21 @@ class ModelReusePolicy:
         """
         T = np.asarray(job_lengths, dtype=float)
         s = np.asarray(vm_ages, dtype=float)
-        T_b, s_b = np.broadcast_arrays(T, s)
-        aged = self.reuse_cost_pairs(T_b, s_b)
-        # The fresh-VM cost depends on the length alone; evaluate it at
-        # the unbroadcast shape and let the comparison broadcast.
-        fresh = self.reuse_cost_pairs(T, np.zeros_like(T))
-        return (aged <= fresh) & (s_b < self.dist.t_max)
+        if s.ndim and (T.ndim == 0 or T.shape[-1] == 1):
+            # The length is constant along the last (age) axis — the
+            # kernels' (k, 1) x (k, S) shape: append one age-0 column so
+            # the fresh-VM cost rides in the same elementwise pass.
+            shape = np.broadcast_shapes(T.shape, s.shape)
+            ages = np.zeros(shape[:-1] + (shape[-1] + 1,))
+            ages[..., :-1] = s
+            cost = self.reuse_cost_pairs(T, ages)
+            aged, fresh = cost[..., :-1], cost[..., -1:]
+        else:
+            aged = self.reuse_cost_pairs(T, s)
+            # The fresh-VM cost depends on the length alone; evaluate it
+            # at the unbroadcast shape and let the comparison broadcast.
+            fresh = self.reuse_cost_pairs(T, np.zeros_like(T))
+        return (aged <= fresh) & (s < self.dist.t_max)
 
     def failure_probability_batch(self, job_length: float, vm_ages) -> np.ndarray:
         """Closed-form failure probability of the policy's VM choices."""
@@ -247,7 +251,8 @@ class ModelReusePolicy:
         if hi <= 0.0:
             return 0.0  # job cannot fit on any aged VM
         grid = np.linspace(0.0, hi, 512)
-        values = np.array([gap(float(s)) for s in grid])
+        # One batched pass over the grid; elementwise identical to gap().
+        values = self.reuse_cost_pairs(T, grid) - fresh_cost
         nonpos = np.flatnonzero(values <= 0.0)
         if nonpos.size == 0:
             return 0.0  # reuse never preferred for this job length
@@ -269,7 +274,10 @@ class ModelReusePolicy:
 
         t_hi = self.dist.t_max
         lengths = np.linspace(1e-3, t_hi, 512)
-        values = np.array([gap(float(T)) for T in lengths])
+        # One batched pass per side; elementwise identical to gap().
+        values = self.reuse_cost_pairs(lengths, s) - self.reuse_cost_pairs(
+            lengths, 0.0
+        )
         pos = np.flatnonzero(values > 0.0)
         if pos.size == 0:
             return float("inf")
@@ -298,7 +306,7 @@ class MemorylessSchedulingPolicy:
         """Always-reuse over an age array (all ``True``)."""
         check_positive("job_length", job_length)
         s = np.asarray(vm_ages, dtype=float)
-        if np.any(s < 0.0):
+        if not (s >= 0.0).all():  # negated so NaN is rejected too
             raise ValueError("vm_ages must be >= 0")
         return np.ones(s.shape, dtype=bool)
 

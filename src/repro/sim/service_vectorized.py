@@ -471,11 +471,24 @@ class _ServiceKernel(_LockstepKernel):
     def _suitability(self, rr: np.ndarray):
         """(free, suitable) masks under the bag-estimate Eq. 8 filter."""
         free = self.alive[rr] & (self.vm_job[rr] == -1)
+        return free, self._judge_free_rows(rr, free, self.est[rr])
+
+    def _judge_free_rows(
+        self, rr: np.ndarray, free: np.ndarray, est: np.ndarray
+    ) -> np.ndarray:
+        """The suitable mask ``free & Eq. 8(est, age)``, judged only on
+        rows with a free VM — a row without one is all ``False``
+        whatever the verdicts, so it costs no Eq. 8 cells."""
         if self.policies is None:
-            return free, free
-        T = np.maximum(self.est[rr], 1e-6)
-        ages = np.maximum(self.now[rr][:, None] - self.launch[rr], 0.0)
-        return free, free & self._decide(rr, T[:, None], ages)
+            return free
+        has = free.any(axis=1)
+        suit = free.copy()
+        if has.any():
+            r = rr[has]
+            T = np.maximum(est[has], 1e-6)
+            ages = np.maximum(self.now[r][:, None] - self.launch[r], 0.0)
+            suit[has] &= self._decide(r, T[:, None], ages)
+        return suit
 
     def _head_state(self, rr: np.ndarray):
         """Queue head + suitability per row; drops queue-less rows."""
@@ -516,36 +529,55 @@ class _ServiceKernel(_LockstepKernel):
 
     def _schedule_pass(self, rr: np.ndarray) -> None:
         """One ``try_schedule`` invocation: head starts, stall, backfill."""
-        stuck: list[np.ndarray] = []
+        stuck = self._start_heads(rr)
+        if stuck is not None:
+            self._stall_actions(*stuck)
+            if self.cfg.backfill:
+                self._backfill_scan(stuck[0])
+
+    def _start_heads(self, rr: np.ndarray):
+        """Start queue heads until each row's head is stuck or its queue
+        is empty.
+
+        Returns the stuck rows' judgment ``(rr, head, width, suit,
+        free)`` — the exact state ``_stall_actions`` acts on, since no
+        later start touches a stuck row — or ``None`` when no row
+        stalled.  Each head is judged by Eq. 8 once per pass.
+        """
+        stuck: list[tuple] = []
         while rr.size:
-            rr, head, w, suit, _ = self._head_state(rr)
+            rr, head, w, suit, free = self._head_state(rr)
             if not rr.size:
                 break
             ok = suit.sum(axis=1) >= w
-            stuck.append(rr[~ok])
-            rr, head, suit = rr[ok], head[ok], suit[ok]
-            if not rr.size:
-                break
+            if not ok.all():
+                bad = ~ok
+                stuck.append((rr[bad], head[bad], w[bad], suit[bad], free[bad]))
+                rr, head, suit = rr[ok], head[ok], suit[ok]
+                if not rr.size:
+                    break
             self._start_job(rr, head, suit)
             # Loop: the next queue head may start in the same instant.
-        if stuck:
-            blocked = np.concatenate(stuck)
-            if blocked.size:
-                self._stall_actions(blocked)
-                if self.cfg.backfill:
-                    self._backfill_scan(blocked)
+        if not stuck:
+            return None
+        return tuple(np.concatenate(part) for part in zip(*stuck))
 
-    def _stall_actions(self, rr: np.ndarray) -> None:
+    def _stall_actions(
+        self,
+        rr: np.ndarray,
+        head: np.ndarray,
+        w: np.ndarray,
+        suit: np.ndarray,
+        free: np.ndarray,
+    ) -> None:
         """The controller's ``_queue_stalled``: terminate-all + provision.
 
-        Fires once per scheduling pass for the stuck head: every
-        Eq. 8-rejected idle VM is terminated (its lifetime event
+        Fires once per scheduling pass for the stuck head, on the
+        judgment the pass already made (see :meth:`_start_heads`):
+        every Eq. 8-rejected idle VM is terminated (its lifetime event
         cancelled, hours billed), then the head's worker deficit is
         provisioned within the ``max_vms`` headroom.
         """
-        rr, head, w, suit, free = self._head_state(rr)
-        if not rr.size:
-            return
         if self.policies is not None:
             if self.obs is not None:
                 self._count_graced(rr, head, free)
@@ -608,19 +640,26 @@ class _ServiceKernel(_LockstepKernel):
         pinned state at the stall choke point, so the event oracle's
         controller mirror produces the exact same totals.
         """
-        T = self._stall_T(rr, head)[:, None]
         ages = np.maximum(self.now[rr][:, None] - self.launch[rr], 0.0)
-        vp = np.clip(self.vm_pool[rr], 0, None)
-        in_grace = ages <= self.latency[vp]
-        pure = np.zeros(free.shape, dtype=bool)
-        if self.nP == 1:
-            pure = self.policies[0].decide_pairs(T, ages)
-        else:
-            for p, pol in enumerate(self.policies):
-                m = self.vm_pool[rr] == p
-                if m.any():
-                    pure |= m & pol.decide_pairs(T, ages)
-        self.obs.inc("stall.graced", int((free & in_grace & ~pure).sum()))
+        vp = self.vm_pool[rr]
+        # Only a free worker inside its grace window can be graced, so
+        # pure Eq. 8 is evaluated on the rows that hold one.
+        cand = free & (ages <= self.latency[np.clip(vp, 0, None)])
+        rows = cand.any(axis=1)
+        graced = 0
+        if rows.any():
+            cand, ages, vp = cand[rows], ages[rows], vp[rows]
+            T = self._stall_T(rr[rows], head[rows])[:, None]
+            if self.nP == 1:
+                pure = self.policies[0].decide_pairs(T, ages)
+            else:
+                pure = np.zeros(cand.shape, dtype=bool)
+                for p, pol in enumerate(self.policies):
+                    m = cand & (vp == p)
+                    if m.any():
+                        pure |= m & pol.decide_pairs(T, ages)
+            graced = int((cand & ~pure).sum())
+        self.obs.inc("stall.graced", graced)
 
     def _count_stall_strikes(self, rk: np.ndarray) -> None:
         """The controller's churn guardrail over the rows that just

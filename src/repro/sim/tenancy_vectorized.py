@@ -469,11 +469,7 @@ class _TenancyKernel(_ServiceKernel):
         the only one the tenancy kernel may use.
         """
         free = self.alive[rr] & (self.vm_job[rr] == -1)
-        if self.policies is None:
-            return free, free
-        T = np.maximum(self.est[rr, self.bag_of[jj]], 1e-6)
-        ages = np.maximum(self.now[rr][:, None] - self.launch[rr], 0.0)
-        return free, free & self._decide(rr, T[:, None], ages)
+        return free, self._judge_free_rows(rr, free, self.est[rr, self.bag_of[jj]])
 
     def _suitability(self, rr: np.ndarray):
         raise NotImplementedError(
@@ -534,25 +530,14 @@ class _TenancyKernel(_ServiceKernel):
 
         No backfill branch: inter-tenant policies own the queue order.
         """
-        stuck: list[np.ndarray] = []
-        while rr.size:
-            rr, head, w, suit, _ = self._head_state(rr)
-            if not rr.size:
-                break
-            ok = suit.sum(axis=1) >= w
-            stuck.append(rr[~ok])
-            rr, head, suit = rr[ok], head[ok], suit[ok]
-            if not rr.size:
-                break
-            self._start_job(rr, head, suit)
-        if stuck:
-            blocked = np.concatenate(stuck)
-            if blocked.size:
-                self._stall_actions(blocked)
+        stuck = self._start_heads(rr)
+        if stuck is not None:
+            self._stall_actions(*stuck)
 
-    # _stall_actions is inherited: the head's per-bag estimate flows in
-    # through the _head_state override, the elastic cap through
-    # _fleet_cap — the terminate/bill/provision block stays one copy.
+    # _start_heads and _stall_actions are inherited: the head's per-bag
+    # estimate flows in through the _head_state override, the elastic
+    # cap through _fleet_cap — the terminate/bill/provision block stays
+    # one copy.
 
     def _record_completion(self, rr: np.ndarray, jj: np.ndarray) -> None:
         """The per-bag ``BagOfJobs.estimated_runtime`` sequential sum."""

@@ -178,6 +178,16 @@ class TestDecidePairs:
             pol.decide_pairs(np.array([0.0]), np.array([1.0]))
         with pytest.raises(ValueError):
             pol.decide_pairs(np.array([1.0]), np.array([-1.0]))
+        # NaN is rejected on both axes (it used to slip through as False
+        # / inf where the scalar decide raises).
+        with pytest.raises(ValueError):
+            pol.decide_pairs(np.nan, 3.0)
+        with pytest.raises(ValueError):
+            pol.decide_pairs(np.array([[2.0], [np.nan]]), np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            pol.decide_pairs(np.array([1.0]), np.array([np.nan]))
+        with pytest.raises(ValueError):
+            pol.reuse_cost_pairs(2.0, np.nan)
 
 
 class TestApiEdges:

@@ -226,3 +226,17 @@ class TestBatchDecisions:
             baseline.decide_batch(6.0, np.array([-1.0]))
         with pytest.raises(ValueError):
             job_failure_probability_batch(policy.dist, 0.0, np.array([1.0]))
+        # NaN is rejected like the scalar check_* helpers reject it.
+        nan = np.array([2.0, np.nan])
+        with pytest.raises(ValueError):
+            policy.decide_batch(6.0, nan)
+        with pytest.raises(ValueError):
+            policy.reuse_cost_batch(6.0, nan)
+        with pytest.raises(ValueError):
+            baseline.decide_batch(6.0, nan)
+        with pytest.raises(ValueError):
+            job_failure_probability_batch(policy.dist, 6.0, nan)
+        with pytest.raises(ValueError):
+            policy.decide_batch(float("nan"), np.array([1.0]))
+        with pytest.raises(ValueError):
+            job_failure_probability_batch(policy.dist, float("nan"), np.array([1.0]))
