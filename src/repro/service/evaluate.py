@@ -533,39 +533,6 @@ class ServicePolicyEvaluator:
         """Normalise a jobs argument (``GangJob`` s or tuples) to a bag."""
         return tuple(j if isinstance(j, GangJob) else GangJob(*j) for j in jobs)
 
-    def _run_sweep(
-        self,
-        runner,
-        payload,
-        config,
-        *,
-        n_replications,
-        seed,
-        backend,
-        max_events,
-        **extra,
-    ):
-        """The one backend/seed plumbing site for every sweep front end.
-
-        ``runner`` is one of the :mod:`repro.sim.backend` replication
-        entry points; ``payload`` its scenario argument (a bag or a
-        traffic trace).  Keeping the forwarding here means the cluster,
-        service, and tenancy front ends cannot drift apart in how they
-        thread the evaluator's lifetime law and the caller's
-        replication/seed/backend knobs.  ``extra`` carries
-        runner-specific knobs (the tenancy runner's ``chunk_size``).
-        """
-        return runner(
-            self.dist,
-            payload,
-            config=config,
-            n_replications=n_replications,
-            seed=seed,
-            backend=backend,
-            max_events=max_events,
-            **extra,
-        )
-
     def cluster_config(
         self,
         *,
@@ -637,10 +604,10 @@ class ServicePolicyEvaluator:
         """
         bag = self._as_bag(jobs)
         batch_cfg = self.service_batch_config(checkpoint_interval=checkpoint_interval)
-        outcomes = self._run_sweep(
-            run_service_replications,
+        outcomes = run_service_replications(
+            self.dist,
             bag,
-            batch_cfg,
+            config=batch_cfg,
             n_replications=n_replications,
             seed=seed,
             backend=backend,
@@ -687,10 +654,10 @@ class ServicePolicyEvaluator:
             hot_spare=hot_spare,
             checkpoint_interval=checkpoint_interval,
         )
-        outcomes = self._run_sweep(
-            run_cluster_replications,
+        outcomes = run_cluster_replications(
+            self.dist,
             bag,
-            cluster_cfg,
+            config=cluster_cfg,
             n_replications=n_replications,
             seed=seed,
             backend=backend,
@@ -797,10 +764,10 @@ class ServicePolicyEvaluator:
             checkpoint_interval=checkpoint_interval,
             estimate_window=estimate_window,
         )
-        outcomes = self._run_sweep(
-            run_tenant_replications,
+        outcomes = run_tenant_replications(
+            self.dist,
             traffic,
-            cfg,
+            config=cfg,
             n_replications=n_replications,
             seed=seed,
             backend=backend,

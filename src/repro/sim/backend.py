@@ -27,14 +27,22 @@ cross-backend equivalence suite pins this down.  Note the generator is
 advanced by whole rounds, so the *number* of values consumed depends on
 the slowest replication — do not interleave other draws from the same
 generator and expect stability.
+
+Orchestration
+-------------
+The four ``run_*_replications`` entry points validate their own inputs
+and hand their kernel's module-level simulate function to one sweep
+driver (:func:`_sweep`), which owns seeding, ``capture``, chunking,
+process sharding, instrumentation and the merge of raw results.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -178,18 +186,14 @@ class _ShardRNG:
 
     def random(self, size):
         width = self._hi - self._lo
-        if isinstance(size, tuple):  # block mode: (rows, n) round rows
-            rows, n = size
-            if n != width:
-                raise ValueError(
-                    f"shard expected width-{width} round rows, got {size}"
-                )
-            block = self._rng.random((rows, self._full))
-            return np.ascontiguousarray(block[:, self._lo : self._hi])
-        if size != width:
+        block = isinstance(size, tuple)  # block mode: (rows, n) round rows
+        if (size[1] if block else size) != width:
             raise ValueError(
                 f"shard expected width-{width} round rows, got {size}"
             )
+        if block:
+            rows = self._rng.random((size[0], self._full))
+            return np.ascontiguousarray(rows[:, self._lo : self._hi])
         return np.ascontiguousarray(self._rng.random(self._full)[self._lo : self._hi])
 
 
@@ -202,20 +206,6 @@ def _shard_bounds(n: int, n_shards: int) -> list[tuple[int, int]]:
         bounds.append((lo, hi))
         lo = hi
     return bounds
-
-
-def _check_workers(workers, capture) -> int:
-    """Validate the ``workers`` / ``capture`` combination up front."""
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers > 1 and capture is not None:
-        raise ValueError(
-            "capture is incompatible with workers > 1: rows are drawn "
-            "inside worker processes, where the capture object cannot "
-            "observe them; record draws with workers=1"
-        )
-    return workers
 
 
 def _require_picklable(payload) -> None:
@@ -234,80 +224,23 @@ def _require_picklable(payload) -> None:
 def _shard_task(payload):
     """Run one shard in a worker process (module-level, hence picklable).
 
-    ``payload`` is ``(kind, backend, rng, lo, hi, full_width, args)``
-    where ``rng`` is this shard's private copy of the chunk's root
-    generator (copied by pickling) and ``args`` the kernel inputs.
+    ``payload`` is ``(simulate, args, kwargs, rng, lo, hi, full_width,
+    instrument)``: the kernel's module-level simulate function and its
+    inputs, plus this shard's private copy of the chunk's root generator
+    (copied by pickling) and its ``[lo, hi)`` columns of the chunk.
     """
-    kind, backend, rng, lo, hi, full, args = payload
-    shard_rng = _ShardRNG(rng, lo, hi, full)
-    size = hi - lo
+    simulate, args, kwargs, rng, lo, hi, full, instrument = payload
     # Instrumented shards count into a private registry and ship the
     # picklable snapshot home inside the raw dict; the parent merges
     # (deterministically — Snapshot.merge is order-independent).
-    reg = MetricsRegistry() if args.get("instrument") else None
-    if kind == "plan":
-        if backend == COMPILED_BACKEND:
-            from repro.sim.compiled import simulate_plan_compiled
-
-            # Worker generators are private copies nobody observes
-            # afterwards, so block drawing is always safe here.
-            kernel = simulate_plan_compiled
-        elif backend == "vectorized":
-            kernel = simulate_plan_vectorized
-        else:
-            kernel = _simulate_plan_event
-        start = args["start_age"]
-        return kernel(
-            args["dist"],
-            args["segments"],
-            delta=args["delta"],
-            start_age=start if np.ndim(start) == 0 else start[lo:hi],
-            restart_latency=args["restart_latency"],
-            n_replications=size,
-            rng=shard_rng,
-            max_rounds=args["max_rounds"],
-        )
-    if kind == "cluster":
-        from repro.sim.cluster_vectorized import simulate_cluster_vectorized
-
-        kernel = (
-            simulate_cluster_vectorized
-            if backend == "vectorized"
-            else _simulate_cluster_event
-        )
-        raw = kernel(
-            args["dist"], args["jobs"], args["config"],
-            n_replications=size, rng=shard_rng, max_events=args["max_events"],
-            obs=reg,
-        )
-    elif kind == "service":
-        from repro.sim.service_vectorized import simulate_service_vectorized
-
-        kernel = (
-            simulate_service_vectorized
-            if backend == "vectorized"
-            else _simulate_service_event
-        )
-        raw = kernel(
-            args["dist"], args["jobs"], args["config"],
-            n_replications=size, rng=shard_rng, max_events=args["max_events"],
-            obs=reg,
-        )
-    elif kind == "tenancy":
-        from repro.sim.tenancy_vectorized import simulate_tenancy_vectorized
-
-        kernel = (
-            simulate_tenancy_vectorized
-            if backend == "vectorized"
-            else _simulate_tenancy_event
-        )
-        raw = kernel(
-            args["dist"], args["traffic"], args["n_tenants"], args["config"],
-            n_replications=size, rng=shard_rng, max_events=args["max_events"],
-            obs=reg,
-        )
-    else:
-        raise ValueError(f"unknown shard kind {kind!r}")
+    reg = MetricsRegistry() if instrument else None
+    raw = simulate(
+        *args,
+        n_replications=hi - lo,
+        rng=_ShardRNG(rng, lo, hi, full),
+        obs=reg,
+        **kwargs,
+    )
     if reg is not None:
         reg.gauge("proc.peak_rss").set(peak_rss_bytes())
         raw["obs_snapshot"] = reg.snapshot()
@@ -423,24 +356,18 @@ class _RunObs:
         )
         self.inst.progress(done, total, elapsed, eta)
 
-    def finish(
-        self,
-        *,
-        n: int,
-        n_rounds: int,
-        n_draws: int,
-        channel_events: dict[str, int] | None,
-        rng_rows: int | None = None,
-        workers: int = 1,
-    ) -> KernelStats | None:
-        """Build the KernelStats record and fold the run's metrics into
-        the bundle's cumulative registry.  ``channel_events=None`` reads
-        the kernel-counted ``events.*`` counters (vectorized backends);
-        the event paths pass the oracle-derived dict instead, so the
-        cross-backend stats comparison is an independent check of the
-        kernels' pick classification."""
+    def finish(self, raw: dict, *, n: int, workers: int, channels) -> KernelStats | None:
+        """Build the KernelStats record of a merged sweep and fold the
+        run's metrics into the bundle's cumulative registry — the one
+        stats builder of every kind.  ``channels=None`` reads the
+        kernel-counted ``events.*`` counters (vectorized backends);
+        otherwise ``channels(raw, registry)`` derives them from the
+        outputs (event oracles, plan kernels), so the cross-backend
+        stats comparison is an independent check of the kernels' pick
+        classification."""
         if self.inst is None or self.reg is None:
             return None
+        channel_events = None if channels is None else channels(raw, self.reg)
         snap = self.reg.snapshot()
         if channel_events is None:
             channel_events = {
@@ -477,11 +404,9 @@ class _RunObs:
             workers=int(workers),
             shards=tuple(self.shards),
             chunk_sizes=tuple(self.chunk_sizes),
-            n_rounds=int(n_rounds),
-            rng_rows=int(
-                snap.gauge_max("rng.rows") if rng_rows is None else rng_rows
-            ),
-            n_draws=int(n_draws),
+            n_rounds=int(raw["n_rounds"]),
+            rng_rows=int(snap.gauge_max("rng.rows")),
+            n_draws=int(raw["n_draws"].sum()),
             channel_events={k: int(v) for k, v in channel_events.items()},
             stall_terminations=int(snap.counter("stall.terminations")),
             boot_grace_activations=int(snap.counter("stall.graced")),
@@ -495,8 +420,192 @@ class _RunObs:
         return stats
 
 
+# ----------------------------------------------------------------------
+# The sweep driver: the one orchestration behind every entry point
+# ----------------------------------------------------------------------
+
 @dataclass(frozen=True)
-class ReplicationOutcomes:
+class _Kernel:
+    """What an entry point hands the sweep driver.
+
+    ``simulate`` is a module-level function (so shard payloads pickle),
+    called as ``simulate(*args, n_replications=, rng=, obs=, **kwargs)``;
+    it returns a raw dict of per-replication arrays — ``n_draws`` among
+    them — plus the scalar ``n_rounds``.  ``per_replication`` holds
+    ``(n,)`` input arrays the driver slices to each chunk's or shard's
+    replications and passes as extra keyword arguments.  ``channels``
+    derives the stats event channels from a merged raw dict (see
+    :meth:`_RunObs.finish`); ``None`` when the kernel counts them live.
+    """
+
+    kind: str
+    simulate: Callable
+    args: tuple
+    kwargs: dict
+    per_replication: dict = field(default_factory=dict)
+    channels: Callable | None = None
+
+
+def _sweep(
+    kernel: _Kernel,
+    *,
+    backend: str,
+    n_replications: int,
+    seed,
+    workers: int,
+    capture: DrawCapture | None,
+    instrument,
+    chunk_size: int | None = None,
+) -> tuple[dict, KernelStats | None]:
+    """Run one replication sweep; returns the merged raw dict and stats.
+
+    The only orchestration path of the four entry points: it validates
+    the sweep-level arguments before any draw, turns ``seed`` into the
+    root generator, arms ``capture``, plans chunks and their generators,
+    runs them serially or as CRN-paired shards over worker processes,
+    and merges the raw results.  Phase spans follow one scheme:
+    ``simulate:<backend>`` for a single serial chunk, ``chunk[k]`` per
+    streamed chunk, ``shards`` for the process fan-out, and ``merge``.
+    """
+    if n_replications < 0:
+        raise ValueError(f"n_replications must be >= 0, got {n_replications}")
+    if chunk_size is not None:
+        check_positive("chunk_size", chunk_size)
+        if capture is not None:
+            raise ValueError(
+                "capture is incompatible with chunk_size: chunks consume "
+                "rows of differing widths, which no longer form one round "
+                "table"
+            )
+    workers = int(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers > 1 and capture is not None:
+        raise ValueError(
+            "capture is incompatible with workers > 1: rows are drawn "
+            "inside worker processes, where the capture object cannot "
+            "observe them; record draws with workers=1"
+        )
+    n = int(n_replications)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    if capture is not None:
+        capture._arm()
+        rng = _RecordingRNG(rng, capture)
+    if chunk_size is None or n <= chunk_size:
+        sizes = [n]
+    else:
+        sizes = [chunk_size] * (n // chunk_size)
+        if n % chunk_size:
+            sizes.append(n % chunk_size)
+    # Chunk 0 keeps the root generator (so a covering chunk is the
+    # unchunked run, byte for byte); later chunks get spawned children,
+    # making every chunk's stream independent of how many rounds its
+    # predecessors ran — the invariant that lets chunks be recomputed
+    # in isolation and sharded across workers.
+    chunk_rngs = [rng] if len(sizes) == 1 else [rng, *rng.spawn(len(sizes) - 1)]
+    robs = _RunObs(instrument, kernel.kind, backend)
+    robs.chunk_sizes = tuple(sizes)
+
+    def inputs(lo: int, hi: int) -> dict:
+        """Keyword inputs of the sweep's replications ``[lo, hi)``."""
+        sliced = {k: v[lo:hi] for k, v in kernel.per_replication.items()}
+        return {**kernel.kwargs, **sliced}
+
+    sharded = workers > 1 and n > 1
+    raws, start = [], 0
+    if sharded:
+        # Shards pair to their chunk's generator: each replays it, draws
+        # chunk-wide rows, and consumes only its own columns.
+        payloads = []
+        for chunk_rng, size in zip(chunk_rngs, sizes):
+            for lo, hi in _shard_bounds(size, min(workers, size)):
+                robs.shards += ((lo, hi),)
+                payloads.append((
+                    kernel.simulate, kernel.args, inputs(start + lo, start + hi),
+                    chunk_rng, lo, hi, size, robs.on,
+                ))
+            start += size
+        with robs.timed("shards"):
+            raws = _run_sharded(payloads, workers)
+        robs.absorb(raws)
+        robs.progress(n, n)
+    else:
+        # Chunks run sequentially, each building its own chunk-wide
+        # kernel (bounded peak memory); the progress callback fires as
+        # each lands.
+        for k, (chunk_rng, size) in enumerate(zip(chunk_rngs, sizes)):
+            phase = f"chunk[{k}]" if len(sizes) > 1 else f"simulate:{backend}"
+            with robs.timed(phase):
+                raws.append(kernel.simulate(
+                    *kernel.args,
+                    n_replications=size,
+                    rng=chunk_rng,
+                    obs=robs.reg,
+                    **inputs(start, start + size),
+                ))
+            start += size
+            robs.progress(start, n)
+    with robs.timed("merge"):
+        raw = _merge_raws(raws)
+    stats = robs.finish(
+        raw, n=n, workers=workers if sharded else 1, channels=kernel.channels
+    )
+    return raw, stats
+
+
+def _fleet_config(backend: str, config, config_kwargs: dict, config_cls):
+    """Backend check and config resolution of the fleet entry points."""
+    if backend not in BACKENDS:
+        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
+    if config is not None and config_kwargs:
+        raise ValueError("pass either config or its fields as kwargs, not both")
+    return config_cls(**config_kwargs) if config is None else config
+
+
+def _gang_bag(jobs, n_slots: int, cap: str) -> list:
+    """Normalise a bag of gang jobs and check every width fits the fleet."""
+    from repro.sim.cluster_vectorized import GangJob
+
+    bag = [j if isinstance(j, GangJob) else GangJob(*j) for j in jobs]
+    if not bag:
+        raise ValueError("jobs must be non-empty")
+    widest = max(j.width for j in bag)
+    if widest > n_slots:
+        raise ValueError(f"job width {widest} exceeds {cap} {n_slots}")
+    return bag
+
+
+class _SweepMeans:
+    """Per-replication summaries every ``*Outcomes`` type shares."""
+
+    @property
+    def n_replications(self) -> int:
+        return int(self.makespan.size)
+
+    @property
+    def mean_makespan(self) -> float:
+        return float(self.makespan.mean())
+
+
+class _FleetMeans(_SweepMeans):
+    """Summaries of the gang-scheduling sweeps (cluster and service)."""
+
+    @property
+    def mean_wasted_hours(self) -> float:
+        return float(self.wasted_hours.mean())
+
+    @property
+    def mean_vm_hours(self) -> float:
+        return float(self.vm_hours.mean())
+
+    @property
+    def failure_fraction(self) -> float:
+        """Fraction of replications with at least one gang abort."""
+        return float(np.mean(self.n_job_failures > 0))
+
+
+@dataclass(frozen=True)
+class ReplicationOutcomes(_SweepMeans):
     """Per-replication results of one :func:`run_replications` sweep.
 
     Attributes
@@ -527,14 +636,6 @@ class ReplicationOutcomes:
     #: Per-run diagnostics when the sweep ran with ``instrument=``;
     #: ``None`` otherwise (the zero-overhead default).
     stats: KernelStats | None = None
-
-    @property
-    def n_replications(self) -> int:
-        return int(self.makespan.size)
-
-    @property
-    def mean_makespan(self) -> float:
-        return float(self.makespan.mean())
 
     @property
     def mean_wasted_hours(self) -> float:
@@ -740,6 +841,45 @@ def _simulate_plan_event(
     return makespan, wasted, completed, restarts, n_rounds
 
 
+def _simulate_plan(
+    dist: LifetimeDistribution,
+    segments: np.ndarray,
+    *,
+    kernel,
+    rng,
+    obs=None,
+    stream_exact: bool | None = None,
+    **kwargs,
+) -> dict:
+    """Run one plan kernel and return its outputs as a raw dict.
+
+    Plan kernels return tuples and count nothing live; everything the
+    stats need is derivable from the outputs (one lifetime draw per VM
+    acquisition, one RNG row per round).  ``stream_exact`` is the
+    compiled kernel's switch: a worker's private generator copy is never
+    observed afterwards, so shards always block-draw.
+    """
+    if stream_exact is not None:
+        kwargs["stream_exact"] = stream_exact and not isinstance(rng, _ShardRNG)
+    makespan, wasted, completed, restarts, n_rounds = kernel(
+        dist, segments, rng=rng, **kwargs
+    )
+    if obs is not None:
+        obs.gauge("rng.rows").set(n_rounds)
+    return {
+        "makespan": makespan,
+        "wasted_hours": wasted,
+        "completed_work": completed,
+        "n_restarts": restarts,
+        "n_draws": restarts + 1,
+        "n_rounds": n_rounds,
+    }
+
+
+def _plan_channels(raw: dict, reg) -> dict[str, int]:
+    return {"restart": int(raw["n_restarts"].sum())}
+
+
 def run_replications(
     dist: LifetimeDistribution,
     segments: Sequence[float],
@@ -805,7 +945,10 @@ def run_replications(
         zero-overhead path; ``True`` builds a fresh
         :class:`repro.obs.Instrumentation` bundle; ``False`` forces
         off; or pass a bundle directly.  When on, the returned
-        outcomes carry a :class:`repro.obs.KernelStats` in ``.stats``.
+        outcomes carry a :class:`repro.obs.KernelStats` in ``.stats``,
+        and the bundle's ``progress`` callback fires with ``(done,
+        total, elapsed_s, eta_s)`` once the sweep lands (every entry
+        point; chunked tenancy sweeps report after each chunk).
         Instrumentation never consumes an RNG draw and never changes
         an outcome (pinned byte-identical by the neutrality tests).
 
@@ -828,12 +971,16 @@ def run_replications(
         check_positive("segment", segs.ravel()[np.flatnonzero(~good.ravel())[0]])
     check_nonnegative("delta", delta)
     check_nonnegative("restart_latency", restart_latency)
-    if n_replications < 0:
-        raise ValueError(f"n_replications must be >= 0, got {n_replications}")
     check_positive("max_rounds", max_rounds)
+    kwargs = dict(
+        delta=float(delta),
+        restart_latency=float(restart_latency),
+        max_rounds=int(max_rounds),
+    )
+    per_replication = {}
     start_arr = np.asarray(start_age, dtype=float)
     if start_arr.ndim == 0:
-        start_val: float | np.ndarray = check_nonnegative("start_age", float(start_arr))
+        kwargs["start_age"] = check_nonnegative("start_age", float(start_arr))
     else:
         if start_arr.shape != (int(n_replications),):
             raise ValueError(
@@ -842,104 +989,44 @@ def run_replications(
             )
         if np.any(start_arr < 0.0):
             raise ValueError("start_age entries must be >= 0")
-        start_val = start_arr
-    workers = _check_workers(workers, capture)
-    n = int(n_replications)
-    # Plan stats are fully derivable from the outputs (one lifetime draw
-    # per VM acquisition, one RNG row per round), so no kernel hooks are
-    # needed on any of the three plan backends — compiled included.
-    robs = _RunObs(instrument, "plan", backend)
-    if workers > 1 and n > 1:
-        root = (
-            seed if isinstance(seed, np.random.Generator)
-            else np.random.default_rng(seed)
-        )
-        args = dict(
-            dist=dist,
-            segments=segs,
-            delta=float(delta),
-            start_age=start_val,
-            restart_latency=float(restart_latency),
-            max_rounds=int(max_rounds),
-        )
-        bounds = _shard_bounds(n, min(workers, n))
-        robs.shards = tuple(bounds)
-        payloads = [("plan", backend, root, lo, hi, n, args) for lo, hi in bounds]
-        with robs.timed("shards"):
-            outs = _run_sharded(payloads, workers)
-        with robs.timed("merge"):
-            makespan = np.concatenate([o[0] for o in outs])
-            wasted = np.concatenate([o[1] for o in outs])
-            completed = np.concatenate([o[2] for o in outs])
-            restarts = np.concatenate([o[3] for o in outs])
-            n_rounds = max(o[4] for o in outs)
-        return ReplicationOutcomes(
-            makespan=makespan,
-            wasted_hours=wasted,
-            completed_work=completed,
-            n_restarts=restarts,
-            n_rounds=n_rounds,
-            backend=backend,
-            stats=robs.finish(
-                n=n,
-                n_rounds=int(n_rounds),
-                n_draws=int(restarts.sum()) + n,
-                channel_events={"restart": int(restarts.sum())},
-                rng_rows=int(n_rounds),
-                workers=workers,
-            ),
-        )
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if capture is not None:
-        capture._arm()
-        rng = _RecordingRNG(rng, capture)
+        per_replication["start_age"] = start_arr
     if backend == COMPILED_BACKEND:
         from repro.sim.compiled import simulate_plan_compiled
 
+        kwargs["kernel"] = simulate_plan_compiled
         # Block drawing may advance the generator past the final round;
         # only safe when nobody can observe the generator afterwards.
-        stream_exact = isinstance(seed, np.random.Generator) or capture is not None
-        with robs.timed(f"simulate:{backend}"):
-            makespan, wasted, completed, restarts, n_rounds = simulate_plan_compiled(
-                dist,
-                segs,
-                delta=float(delta),
-                start_age=start_val,
-                restart_latency=float(restart_latency),
-                n_replications=int(n_replications),
-                rng=rng,
-                max_rounds=int(max_rounds),
-                stream_exact=stream_exact,
-            )
-    else:
-        kernel = (
-            simulate_plan_vectorized if backend == "vectorized" else _simulate_plan_event
+        kwargs["stream_exact"] = (
+            isinstance(seed, np.random.Generator) or capture is not None
         )
-        with robs.timed(f"simulate:{backend}"):
-            makespan, wasted, completed, restarts, n_rounds = kernel(
-                dist,
-                segs,
-                delta=float(delta),
-                start_age=start_val,
-                restart_latency=float(restart_latency),
-                n_replications=int(n_replications),
-                rng=rng,
-                max_rounds=int(max_rounds),
-            )
-    return ReplicationOutcomes(
-        makespan=makespan,
-        wasted_hours=wasted,
-        completed_work=completed,
-        n_restarts=restarts,
-        n_rounds=n_rounds,
-        backend=backend,
-        stats=robs.finish(
-            n=n,
-            n_rounds=int(n_rounds),
-            n_draws=int(np.asarray(restarts).sum()) + n,
-            channel_events={"restart": int(np.asarray(restarts).sum())},
-            rng_rows=int(n_rounds),
+    elif backend == "vectorized":
+        kwargs["kernel"] = simulate_plan_vectorized
+    else:
+        kwargs["kernel"] = _simulate_plan_event
+    raw, stats = _sweep(
+        _Kernel(
+            "plan",
+            _simulate_plan,
+            (dist, segs),
+            kwargs,
+            per_replication=per_replication,
+            channels=_plan_channels,
         ),
+        backend=backend,
+        n_replications=n_replications,
+        seed=seed,
+        workers=workers,
+        capture=capture,
+        instrument=instrument,
+    )
+    return ReplicationOutcomes(
+        makespan=raw["makespan"],
+        wasted_hours=raw["wasted_hours"],
+        completed_work=raw["completed_work"],
+        n_restarts=raw["n_restarts"],
+        n_rounds=raw["n_rounds"],
+        backend=backend,
+        stats=stats,
     )
 
 
@@ -948,7 +1035,7 @@ def run_replications(
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ClusterOutcomes:
+class ClusterOutcomes(_FleetMeans):
     """Per-replication results of one :func:`run_cluster_replications` sweep.
 
     Attributes
@@ -1001,27 +1088,6 @@ class ClusterOutcomes:
     #: ``None`` otherwise (the zero-overhead default).
     stats: KernelStats | None = None
 
-    @property
-    def n_replications(self) -> int:
-        return int(self.makespan.size)
-
-    @property
-    def mean_makespan(self) -> float:
-        return float(self.makespan.mean())
-
-    @property
-    def mean_wasted_hours(self) -> float:
-        return float(self.wasted_hours.mean())
-
-    @property
-    def mean_vm_hours(self) -> float:
-        return float(self.vm_hours.mean())
-
-    @property
-    def failure_fraction(self) -> float:
-        """Fraction of replications with at least one gang abort."""
-        return float(np.mean(self.n_job_failures > 0))
-
     def mean_cost(self, price_per_hour: float) -> float:
         """Mean billed cost of one cluster run at the given hourly price."""
         return self.mean_vm_hours * check_nonnegative(
@@ -1057,18 +1123,12 @@ class _ClusterReplication:
     ):
         from repro.policies.scheduling import ModelReusePolicy, SchedulingDecision
         from repro.sim.cluster import ClusterManager, SimJob
-        from repro.sim.events import EventLog, JobFailed
         from repro.sim.placement import make_allocator, resolve_pools
-        from repro.sim.vm import SimVM
 
-        self._SimVM = SimVM
         self._SimJob = SimJob
-        self._JobFailed = JobFailed
         self._REUSE = SchedulingDecision.REUSE
-        self.dist = dist
         self.jobs = jobs
         self.cfg = config
-        self.uniforms = uniforms
         self.replication = replication
         self.max_events = max_events
         # Pool catalog: VM boots pick the first ranked pool with alive
@@ -1089,10 +1149,16 @@ class _ClusterReplication:
             else None
         )
         self.sim = Simulator()
-        self.log = EventLog()
+        # VM lifecycles (boot draws, deaths, terminations, per-pool
+        # occupancy) run through the service oracles' cloud shim.
+        self.cloud = _RoundProtocolCloud(
+            self.sim, dist, uniforms, replication, pools=self.pools, obs=obs
+        )
+        if config.hot_spare:
+            self.cloud.on_death = self._hot_spare
         self.cluster = ClusterManager(
             self.sim,
-            log=self.log,
+            log=self.cloud.log,
             node_selector=self._select_nodes,
             checkpoint_planner=self._plan_checkpoints,
             checkpoint_cost=config.checkpoint_cost,
@@ -1103,17 +1169,12 @@ class _ClusterReplication:
         self.cluster.on_queue_stalled.append(self._on_stall)
         # Mirrored observability counters: the ClusterManager samples
         # queue depth at its insertion points; this oracle counts stall
-        # terminations and tracks per-pool alive occupancy.
+        # terminations.
         self.obs = obs
         self.cluster.obs = obs
-        self._alive_per_pool = [0] * len(self.pools)
         # Shared CheckpointPolicy in checkpoint="dp" mode (one DP table
         # across the whole sweep, like the batched walker), else None.
         self._ckpt = ckpt
-        self.vms: list = []
-        self._death_handles: dict[int, EventHandle] = {}
-        self.draws = 0
-        self.preemptions = 0
         self._stalled = False
 
     # -- policy hooks ---------------------------------------------------
@@ -1173,46 +1234,16 @@ class _ClusterReplication:
         raise RuntimeError("no pool headroom; pool invariant violated")
 
     def _boot(self):
-        pool = self._pick_pool()  # deterministic, before the draw
-        u = self.uniforms.value(self.replication, self.draws)
-        self.draws += 1
-        lifetime = float(self.pools[pool].dist.ppf(u))
-        vm = self._SimVM(
-            vm_id=len(self.vms),
-            vm_type="cluster-mc",
-            zone="mc",
-            launch_time=self.sim.now,
-            preemptible=True,
-            hourly_price=0.0,
-            pool=pool,
-        )
-        self.vms.append(vm)
-        self._death_handles[vm.vm_id] = self.sim.schedule(
-            lifetime, lambda v=vm: self._die(v)
-        )
-        if self.obs is not None:
-            self._alive_per_pool[pool] += 1
-            self.obs.gauge(f"pool.occupancy.{pool}").set(
-                self._alive_per_pool[pool]
-            )
-        return vm
+        # The pool pick is deterministic and precedes the draw.
+        return self.cloud.launch("cluster-mc", pool=self._pick_pool())
 
-    def _die(self, vm) -> None:
-        if not vm.alive:
-            return
-        vm.mark_preempted(self.sim.now)
-        self.preemptions += 1
-        if self.obs is not None:
-            self._alive_per_pool[vm.pool] -= 1
-        if self.cfg.hot_spare:
-            # Substitute before the cluster reacts: the dead idle VM
-            # leaves the pool and a fresh spare joins (giving the queue
-            # first crack at it), then the abort path runs.
-            if any(v.vm_id == vm.vm_id for v in self.cluster.free_nodes()):
-                self.cluster.remove_node(vm)
-            self.cluster.add_node(self._boot())
-        for cb in list(vm.on_preempt):
-            cb(vm, self.sim.now)
+    def _hot_spare(self, vm) -> None:
+        """Substitute before the cluster reacts to a death: the dead idle
+        VM leaves the pool and a fresh spare joins (giving the queue
+        first crack at it), then the abort path runs."""
+        if any(v.vm_id == vm.vm_id for v in self.cluster.free_nodes()):
+            self.cluster.remove_node(vm)
+        self.cluster.add_node(self._boot())
 
     # -- stall refresh (the service's policy-rejection path) -------------
     def _on_stall(self, job, n_free) -> None:
@@ -1239,13 +1270,9 @@ class _ClusterReplication:
             if unsuitable:
                 victim = unsuitable[0]  # oldest (launch, id) rejected VM
                 self.cluster.remove_node(victim)
-                handle = self._death_handles.pop(victim.vm_id, None)
-                if handle is not None:
-                    handle.cancel()
-                victim.mark_terminated(self.sim.now)
+                self.cloud.terminate(victim)
                 if self.obs is not None:
                     self.obs.inc("stall.terminations")
-                    self._alive_per_pool[victim.pool] -= 1
             # add_node recurses into try_schedule, re-flagging the stall
             # if the head is still stuck.
             self.cluster.add_node(self._boot())
@@ -1272,24 +1299,90 @@ class _ClusterReplication:
                     "cluster replication drained before the bag finished"
                 )
             self._drain_stalls()
-        end = self.sim.now
-        wasted = sum(ev.lost_hours for ev in self.log.of_type(self._JobFailed))
-        failures = sum(job.failures for job in self.cluster.completed)
-        vm_hours = sum(vm.age(end) for vm in self.vms)
-        pool_hours = np.zeros(len(self.pools))
-        for vm in self.vms:
-            pool_hours[vm.pool] += vm.age(end)
-        return (
-            end,
-            wasted,
-            len(self.cluster.completed),
-            failures,
-            self.preemptions,
-            vm_hours,
-            pool_hours,
-            self.sim.events_processed,
-            self.draws,
+        return _oracle_run_scalars(
+            self.sim, self.cloud, self.cluster.completed, len(self.pools)
         )
+
+
+#: dtype and fill value of every event-oracle output field.
+_ORACLE_FIELDS = {
+    "makespan": (float, 0.0),
+    "wasted_hours": (float, 0.0),
+    "completed_jobs": (np.int64, 0),
+    "n_job_failures": (np.int64, 0),
+    "n_preemptions": (np.int64, 0),
+    "vm_hours": (float, 0.0),
+    "pool_vm_hours": (float, 0.0),
+    "master_hours": (float, 0.0),
+    "n_events": (np.int64, 0),
+    "n_draws": (np.int64, 0),
+    "admitted": (bool, False),
+    "start_times": (float, np.nan),
+    "finish_times": (float, np.nan),
+}
+
+
+def _simulate_event(
+    replicate,
+    fields: Sequence[str],
+    dist: LifetimeDistribution,
+    config,
+    n_slots: int,
+    *,
+    n_replications: int,
+    rng: np.random.Generator,
+    obs=None,
+    row_widths: dict[str, int] | None = None,
+) -> dict[str, np.ndarray | int]:
+    """The event-oracle harness of the cluster, service and tenancy kinds.
+
+    ``replicate(uniforms, i, ckpt)`` builds replication ``i`` on the
+    shared round table; its ``run()`` returns one value per name in
+    ``fields`` (see :data:`_ORACLE_FIELDS`).  ``row_widths`` gives the
+    per-replication row length of vector-valued fields;
+    ``pool_vm_hours`` is always one column per resolved pool.
+    """
+    from repro.policies.checkpointing import CheckpointPolicy
+    from repro.sim.placement import resolve_pools
+
+    uniforms = _RoundUniforms(rng, n_replications)
+    n = int(n_replications)
+    widths = {
+        "pool_vm_hours": len(resolve_pools(config.pools, dist=dist, n_slots=n_slots)),
+        **(row_widths or {}),
+    }
+    # One shared policy (hence one cached DP table) across the sweep.
+    ckpt = (
+        CheckpointPolicy(
+            dist, step=config.checkpoint_step, delta=config.checkpoint_cost
+        )
+        if config.checkpoint == "dp"
+        else None
+    )
+    raw = {}
+    for name in fields:
+        dtype, fill = _ORACLE_FIELDS[name]
+        shape = (n, widths[name]) if name in widths else (n,)
+        raw[name] = np.full(shape, fill, dtype=dtype)
+    for i in range(n):
+        rep = replicate(uniforms, i, ckpt)
+        for name, value in zip(fields, rep.run()):
+            raw[name][i] = value
+        if obs is not None:
+            # Engine mirror: real event-loop callbacks executed, summed
+            # across the sweep (a backend-local diagnostic; the arena
+            # event channels are the cross-backend contract).
+            obs.inc("engine.callbacks", rep.sim.events_processed)
+    raw["n_rounds"] = int(raw["n_events"].max()) if n else 0
+    if obs is not None:
+        obs.gauge("rng.rows").set(uniforms._filled)
+    return raw
+
+
+_CLUSTER_FIELDS = (
+    "makespan", "wasted_hours", "completed_jobs", "n_job_failures",
+    "n_preemptions", "vm_hours", "pool_vm_hours", "n_events", "n_draws",
+)
 
 
 def _simulate_cluster_event(
@@ -1302,64 +1395,24 @@ def _simulate_cluster_event(
     max_events: int,
     obs=None,
 ) -> dict[str, np.ndarray | int]:
-    from repro.policies.checkpointing import CheckpointPolicy
-    from repro.sim.placement import resolve_pools
-
-    uniforms = _RoundUniforms(rng, n_replications)
-    n = int(n_replications)
-    nP = len(resolve_pools(config.pools, dist=dist, n_slots=config.pool_size))
-    # One shared policy (hence one cached DP table) across the sweep.
-    ckpt = (
-        CheckpointPolicy(
-            dist, step=config.checkpoint_step, delta=config.checkpoint_cost
-        )
-        if config.checkpoint == "dp"
-        else None
-    )
-    makespan = np.zeros(n)
-    wasted = np.zeros(n)
-    completed = np.zeros(n, dtype=np.int64)
-    failures = np.zeros(n, dtype=np.int64)
-    preemptions = np.zeros(n, dtype=np.int64)
-    vm_hours = np.zeros(n)
-    pool_hours = np.zeros((n, nP))
-    events = np.zeros(n, dtype=np.int64)
-    draws = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        rep = _ClusterReplication(
+    return _simulate_event(
+        lambda uniforms, i, ckpt: _ClusterReplication(
             dist, jobs, config, uniforms, i, max_events, ckpt=ckpt, obs=obs
-        )
-        (
-            makespan[i],
-            wasted[i],
-            completed[i],
-            failures[i],
-            preemptions[i],
-            vm_hours[i],
-            pool_hours[i],
-            events[i],
-            draws[i],
-        ) = rep.run()
-        if obs is not None:
-            # Engine mirror: real event-loop callbacks executed, summed
-            # across the sweep (a backend-local diagnostic; the arena
-            # event channels are the cross-backend contract).
-            obs.inc("engine.callbacks", rep.sim.events_processed)
-    raw = {
-        "makespan": makespan,
-        "wasted_hours": wasted,
-        "completed_jobs": completed,
-        "n_job_failures": failures,
-        "n_preemptions": preemptions,
-        "vm_hours": vm_hours,
-        "pool_vm_hours": pool_hours,
-        "n_events": events,
-        "n_draws": draws,
-        "n_rounds": int(events.max()) if n else 0,
-    }
-    if obs is not None:
-        obs.gauge("rng.rows").set(uniforms._filled)
-    return raw
+        ),
+        _CLUSTER_FIELDS,
+        dist,
+        config,
+        config.pool_size,
+        n_replications=n_replications,
+        rng=rng,
+        obs=obs,
+    )
+
+
+def _cluster_channels(raw: dict, reg) -> dict[str, int]:
+    """Every cluster arena event is a death or a segment completion."""
+    death = int(raw["n_preemptions"].sum())
+    return {"death": death, "comp": int(raw["n_events"].sum()) - death}
 
 
 def run_cluster_replications(
@@ -1431,106 +1484,28 @@ def run_cluster_replications(
         Per-replication makespan / wasted hours / completion counts /
         preemption counts / VM hours.
     """
-    from repro.sim.cluster_vectorized import (
-        ClusterConfig,
-        GangJob,
-        simulate_cluster_vectorized,
-    )
+    from repro.sim.cluster_vectorized import ClusterConfig, simulate_cluster_vectorized
 
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    if config is not None and config_kwargs:
-        raise ValueError("pass either config or its fields as kwargs, not both")
-    if config is None:
-        config = ClusterConfig(**config_kwargs)
-    bag = [j if isinstance(j, GangJob) else GangJob(*j) for j in jobs]
-    if not bag:
-        raise ValueError("jobs must be non-empty")
-    widest = max(j.width for j in bag)
-    if widest > config.pool_size:
-        raise ValueError(
-            f"job width {widest} exceeds pool_size {config.pool_size}"
-        )
-    if n_replications < 0:
-        raise ValueError(f"n_replications must be >= 0, got {n_replications}")
+    config = _fleet_config(backend, config, config_kwargs, ClusterConfig)
+    bag = _gang_bag(jobs, config.pool_size, "pool_size")
     check_positive("max_events", max_events)
-    workers = _check_workers(workers, capture)
-    n = int(n_replications)
-    robs = _RunObs(instrument, "cluster", backend)
-    if workers > 1 and n > 1:
-        root = (
-            seed if isinstance(seed, np.random.Generator)
-            else np.random.default_rng(seed)
-        )
-        args = dict(dist=dist, jobs=bag, config=config, max_events=int(max_events))
-        if robs.on:
-            args["instrument"] = True
-        bounds = _shard_bounds(n, min(workers, n))
-        robs.shards = tuple(bounds)
-        payloads = [("cluster", backend, root, lo, hi, n, args) for lo, hi in bounds]
-        with robs.timed("shards"):
-            raws = _run_sharded(payloads, workers)
-        robs.absorb(raws)
-        with robs.timed("merge"):
-            raw = _merge_raws(raws)
-        return ClusterOutcomes(
-            backend=backend,
-            stats=_cluster_stats(robs, raw, backend, n, workers=workers),
-            **raw,
-        )
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if capture is not None:
-        capture._arm()
-        rng = _RecordingRNG(rng, capture)
-    if backend == "vectorized":
-        with robs.timed("simulate:vectorized"):
-            raw = simulate_cluster_vectorized(
-                dist,
-                bag,
-                config,
-                n_replications=int(n_replications),
-                rng=rng,
-                max_events=int(max_events),
-                obs=robs.reg,
-            )
-    else:
-        with robs.timed("simulate:event"):
-            raw = _simulate_cluster_event(
-                dist,
-                bag,
-                config,
-                n_replications=int(n_replications),
-                rng=rng,
-                max_events=int(max_events),
-                obs=robs.reg,
-            )
-    return ClusterOutcomes(
-        backend=backend, stats=_cluster_stats(robs, raw, backend, n), **raw
-    )
-
-
-def _cluster_stats(robs, raw, backend: str, n: int, *, workers: int = 1):
-    """Assemble cluster KernelStats; event channel counts are derived
-    from the oracle's per-replication outputs (every arena event is a
-    death or a segment completion), making the cross-backend stats
-    comparison an independent check of the kernel's pick split."""
-    if not robs.on:
-        return None
-    if backend == "event":
-        death = int(raw["n_preemptions"].sum())
-        channel_events = {
-            "death": death,
-            "comp": int(raw["n_events"].sum()) - death,
-        }
-    else:
-        channel_events = None
-    return robs.finish(
-        n=n,
-        n_rounds=int(raw["n_rounds"]),
-        n_draws=int(raw["n_draws"].sum()),
-        channel_events=channel_events,
+    event = backend == "event"
+    raw, stats = _sweep(
+        _Kernel(
+            "cluster",
+            _simulate_cluster_event if event else simulate_cluster_vectorized,
+            (dist, bag, config),
+            {"max_events": int(max_events)},
+            channels=_cluster_channels if event else None,
+        ),
+        backend=backend,
+        n_replications=n_replications,
+        seed=seed,
         workers=workers,
+        capture=capture,
+        instrument=instrument,
     )
+    return ClusterOutcomes(backend=backend, stats=stats, **raw)
 
 
 # ----------------------------------------------------------------------
@@ -1567,7 +1542,7 @@ class _BilledSweepMixin:
 
 
 @dataclass(frozen=True)
-class ServiceOutcomes(_BilledSweepMixin):
+class ServiceOutcomes(_FleetMeans, _BilledSweepMixin):
     """Per-replication results of one :func:`run_service_replications` sweep.
 
     ``ServiceReport``-shaped arrays: everything
@@ -1628,27 +1603,6 @@ class ServiceOutcomes(_BilledSweepMixin):
     #: ``None`` otherwise (the zero-overhead default).
     stats: KernelStats | None = None
 
-    @property
-    def n_replications(self) -> int:
-        return int(self.makespan.size)
-
-    @property
-    def mean_makespan(self) -> float:
-        return float(self.makespan.mean())
-
-    @property
-    def mean_wasted_hours(self) -> float:
-        return float(self.wasted_hours.mean())
-
-    @property
-    def mean_vm_hours(self) -> float:
-        return float(self.vm_hours.mean())
-
-    @property
-    def failure_fraction(self) -> float:
-        """Fraction of service runs with at least one gang abort."""
-        return float(np.mean(self.n_job_failures > 0))
-
     def mean_cost(self, preemptible_rate: float, master_rate: float = 0.0) -> float:
         """Mean billed cost of one service run at the given rates."""
         if self.n_replications == 0:
@@ -1706,6 +1660,9 @@ class _RoundProtocolCloud:
         # peaks agree in spirit, not by contract; see docs).
         self.obs = obs
         self._alive_per_pool: dict[int, int] = {}
+        #: Optional ``(vm) -> None`` hook run after a death is recorded
+        #: and before the VM's preemption callbacks (cluster hot spares).
+        self.on_death = None
 
     def _occupancy(self, pool: int, delta: int) -> None:
         if self.obs is None:
@@ -1759,6 +1716,8 @@ class _RoundProtocolCloud:
         vm.mark_preempted(self.sim.now)
         self.n_preempted += 1
         self._occupancy(vm.pool, -1)
+        if self.on_death is not None:
+            self.on_death(vm)
         for cb in list(vm.on_preempt):
             cb(vm, self.sim.now)
 
@@ -1787,13 +1746,31 @@ def _oracle_service_config(config, vm_type: str, *, backfill: bool):
         backfill=backfill,
         max_attempts_per_job=config.max_attempts_per_job,
         livelock_threshold=config.livelock_threshold,
-        pools=getattr(config, "pools", None),
-        allocator=getattr(config, "allocator", "first_fit"),
+        pools=config.pools,
+        allocator=config.allocator,
     )
 
 
-def _oracle_run_scalars(sim, cloud, cluster, *, run_master: bool, n_pools: int = 1):
-    """The ServiceOutcomes-shaped scalars of one finished oracle run.
+def _attach_oracle(svc, obs, ckpt) -> None:
+    """Hook one live ``BatchComputingService`` into an oracle sweep.
+
+    Mirrored observability counters: the controller counts reaps, stall
+    terminations, boot-grace spares and livelock streaks; the cluster
+    manager samples queue depth.  The controller resolved the pool
+    catalog (defaults filled in), so the cloud shim gets it to draw
+    per-pool lifetimes.  In ``checkpoint="dp"`` mode every replication
+    shares one CheckpointPolicy (hence one cached DP table).
+    """
+    svc.obs = obs
+    svc.cluster.obs = obs
+    svc.cloud.pools = svc.pools
+    if ckpt is not None:
+        svc._ckpt = ckpt
+
+
+def _oracle_run_scalars(sim, cloud, completed, n_pools: int):
+    """The per-replication outputs of one finished oracle run, in
+    :data:`_CLUSTER_FIELDS` order.
 
     ``vm.age`` caps at each worker's end time, so one end-of-run pass
     over the fleet yields both the total and the per-pool hour splits.
@@ -1807,15 +1784,23 @@ def _oracle_run_scalars(sim, cloud, cluster, *, run_master: bool, n_pools: int =
     return (
         end,
         sum(ev.lost_hours for ev in cloud.log.of_type(JobFailed)),
-        len(cluster.completed),
-        sum(job.failures for job in cluster.completed),
+        len(completed),
+        sum(job.failures for job in completed),
         cloud.n_preempted,
         sum(vm.age(end) for vm in cloud.workers),
         pool_hours,
-        end if run_master else 0.0,
         sim.events_processed,
         cloud.draws,
     )
+
+
+def _service_run_scalars(svc):
+    """:func:`_oracle_run_scalars` of a controller run plus the master's
+    billed hours (:data:`_SERVICE_FIELDS` order)."""
+    scalars = _oracle_run_scalars(
+        svc.sim, svc.cloud, svc.cluster.completed, len(svc.pools)
+    )
+    return (*scalars, svc.sim.now if svc.config.run_master else 0.0)
 
 
 class _ServiceReplication:
@@ -1848,19 +1833,7 @@ class _ServiceReplication:
             dist,
             service_config,
         )
-        # Mirrored observability counters: the controller counts reaps,
-        # stall terminations, boot-grace spares, and livelock streaks;
-        # the cluster manager samples queue depth.
-        self.svc.obs = obs
-        self.svc.cluster.obs = obs
-        # The controller resolved the pool catalog (defaults filled in);
-        # hand it to the cloud shim so boots draw per-pool lifetimes.
-        self.cloud = self.svc.cloud
-        self.cloud.pools = self.svc.pools
-        if ckpt is not None:
-            # checkpoint="dp": share one CheckpointPolicy (hence one
-            # cached DP table) across the sweep's replications.
-            self.svc._ckpt = ckpt
+        _attach_oracle(self.svc, obs, ckpt)
 
     def run(self):
         from repro.service.api import BagRequest, JobRequest
@@ -1876,13 +1849,10 @@ class _ServiceReplication:
         # landed during submission, so setting it here is exact.
         self.svc.bags[bid].window = self.config.estimate_window
         self.svc.run_until_bag_done(bid, max_events=self.max_events)
-        return _oracle_run_scalars(
-            self.sim,
-            self.cloud,
-            self.svc.cluster,
-            run_master=self.config.run_master,
-            n_pools=len(self.svc.pools),
-        )
+        return _service_run_scalars(self.svc)
+
+
+_SERVICE_FIELDS = _CLUSTER_FIELDS + ("master_hours",)
 
 
 def _simulate_service_event(
@@ -1895,74 +1865,38 @@ def _simulate_service_event(
     max_events: int,
     obs=None,
 ) -> dict[str, np.ndarray | int]:
-    from repro.policies.checkpointing import CheckpointPolicy
-    from repro.sim.placement import resolve_pools
-
-    uniforms = _RoundUniforms(rng, n_replications)
-    n = int(n_replications)
-    nP = len(
-        resolve_pools(
-            config.pools,
-            dist=dist,
-            n_slots=config.max_vms,
-            provision_latency=config.provision_latency,
-        )
-    )
-    # One shared policy (hence one cached DP table) across the sweep.
-    ckpt = (
-        CheckpointPolicy(
-            dist, step=config.checkpoint_step, delta=config.checkpoint_cost
-        )
-        if config.checkpoint == "dp"
-        else None
-    )
-    makespan = np.zeros(n)
-    wasted = np.zeros(n)
-    completed = np.zeros(n, dtype=np.int64)
-    failures = np.zeros(n, dtype=np.int64)
-    preemptions = np.zeros(n, dtype=np.int64)
-    vm_hours = np.zeros(n)
-    pool_hours = np.zeros((n, nP))
-    master_hours = np.zeros(n)
-    events = np.zeros(n, dtype=np.int64)
-    draws = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        rep = _ServiceReplication(
+    return _simulate_event(
+        lambda uniforms, i, ckpt: _ServiceReplication(
             dist, jobs, config, uniforms, i, max_events, ckpt=ckpt, obs=obs
-        )
-        (
-            makespan[i],
-            wasted[i],
-            completed[i],
-            failures[i],
-            preemptions[i],
-            vm_hours[i],
-            pool_hours[i],
-            master_hours[i],
-            events[i],
-            draws[i],
-        ) = rep.run()
-        if obs is not None:
-            # Engine mirror: real event-loop callbacks executed, summed
-            # across the sweep (a backend-local diagnostic; the arena
-            # event channels are the cross-backend contract).
-            obs.inc("engine.callbacks", rep.sim.events_processed)
-    raw = {
-        "makespan": makespan,
-        "wasted_hours": wasted,
-        "completed_jobs": completed,
-        "n_job_failures": failures,
-        "n_preemptions": preemptions,
-        "vm_hours": vm_hours,
-        "pool_vm_hours": pool_hours,
-        "master_hours": master_hours,
-        "n_events": events,
-        "n_draws": draws,
-        "n_rounds": int(events.max()) if n else 0,
+        ),
+        _SERVICE_FIELDS,
+        dist,
+        config,
+        config.max_vms,
+        n_replications=n_replications,
+        rng=rng,
+        obs=obs,
+    )
+
+
+def _service_channels(raw: dict, reg, arrivals: int = 0) -> dict[str, int]:
+    """Event channels of a service/tenancy oracle run, derived from its
+    outputs plus the controller's reap counter: every worker boot event
+    draws exactly one lifetime (masters and t=0 launches are not
+    events), deaths are the cloud's preemption tally, arrivals are one
+    event per submitted bag, and completions are the remainder."""
+    death = int(raw["n_preemptions"].sum())
+    boot = int(raw["n_draws"].sum())
+    reap = int(reg.counter("events.reap").value)
+    channels = {
+        "death": death,
+        "comp": int(raw["n_events"].sum()) - death - boot - reap - arrivals,
+        "boot": boot,
+        "reap": reap,
     }
-    if obs is not None:
-        obs.gauge("rng.rows").set(uniforms._filled)
-    return raw
+    if arrivals:
+        channels["arr"] = arrivals
+    return channels
 
 
 def run_service_replications(
@@ -2041,119 +1975,37 @@ def run_service_replications(
         waste, preemptions, worker/master hours) with cost and
         cost-reduction-factor helpers.
     """
-    from repro.sim.cluster_vectorized import GangJob
     from repro.sim.service_vectorized import (
         ServiceBatchConfig,
         simulate_service_vectorized,
     )
 
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    if config is not None and config_kwargs:
-        raise ValueError("pass either config or its fields as kwargs, not both")
-    if config is None:
-        config = ServiceBatchConfig(**config_kwargs)
-    elif hasattr(config, "vm_type"):  # a service-layer ServiceConfig
+    config = _fleet_config(backend, config, config_kwargs, ServiceBatchConfig)
+    if hasattr(config, "vm_type"):  # a service-layer ServiceConfig
         config = ServiceBatchConfig.from_service_config(config)
-    bag = [j if isinstance(j, GangJob) else GangJob(*j) for j in jobs]
-    if not bag:
-        raise ValueError("jobs must be non-empty")
-    widest = max(j.width for j in bag)
-    if widest > config.max_vms:
-        raise ValueError(f"job width {widest} exceeds max_vms {config.max_vms}")
-    if n_replications < 0:
-        raise ValueError(f"n_replications must be >= 0, got {n_replications}")
+    bag = _gang_bag(jobs, config.max_vms, "max_vms")
     check_positive("max_events", max_events)
-    workers = _check_workers(workers, capture)
-    n = int(n_replications)
-    total_work = float(sum(j.work_hours * j.width for j in bag))
-    robs = _RunObs(instrument, "service", backend)
-    if workers > 1 and n > 1:
-        root = (
-            seed if isinstance(seed, np.random.Generator)
-            else np.random.default_rng(seed)
-        )
-        args = dict(dist=dist, jobs=bag, config=config, max_events=int(max_events))
-        if robs.on:
-            args["instrument"] = True
-        bounds = _shard_bounds(n, min(workers, n))
-        robs.shards = tuple(bounds)
-        payloads = [("service", backend, root, lo, hi, n, args) for lo, hi in bounds]
-        with robs.timed("shards"):
-            raws = _run_sharded(payloads, workers)
-        robs.absorb(raws)
-        with robs.timed("merge"):
-            raw = _merge_raws(raws)
-        return ServiceOutcomes(
-            backend=backend,
-            total_work_hours=total_work,
-            stats=_service_stats(robs, raw, backend, n, workers=workers),
-            **raw,
-        )
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if capture is not None:
-        capture._arm()
-        rng = _RecordingRNG(rng, capture)
-    if backend == "vectorized":
-        with robs.timed("simulate:vectorized"):
-            raw = simulate_service_vectorized(
-                dist,
-                bag,
-                config,
-                n_replications=int(n_replications),
-                rng=rng,
-                max_events=int(max_events),
-                obs=robs.reg,
-            )
-    else:
-        with robs.timed("simulate:event"):
-            raw = _simulate_service_event(
-                dist,
-                bag,
-                config,
-                n_replications=int(n_replications),
-                rng=rng,
-                max_events=int(max_events),
-                obs=robs.reg,
-            )
+    event = backend == "event"
+    raw, stats = _sweep(
+        _Kernel(
+            "service",
+            _simulate_service_event if event else simulate_service_vectorized,
+            (dist, bag, config),
+            {"max_events": int(max_events)},
+            channels=_service_channels if event else None,
+        ),
+        backend=backend,
+        n_replications=n_replications,
+        seed=seed,
+        workers=workers,
+        capture=capture,
+        instrument=instrument,
+    )
     return ServiceOutcomes(
         backend=backend,
-        total_work_hours=total_work,
-        stats=_service_stats(robs, raw, backend, n),
+        total_work_hours=float(sum(j.work_hours * j.width for j in bag)),
+        stats=stats,
         **raw,
-    )
-
-
-def _service_stats(robs, raw, backend: str, n: int, *, workers: int = 1, arr: int = 0):
-    """Assemble service/tenancy KernelStats.  Event channel counts are
-    derived from oracle outputs plus the controller's reap counter:
-    every worker boot event draws exactly one lifetime (masters and
-    t=0 launches are not events), deaths are the cloud's preemption
-    tally, arrivals are one event per submitted bag, and completions
-    are the remainder — so comparing against the vectorized kernel's
-    direct pick counts independently checks the classification."""
-    if not robs.on:
-        return None
-    if backend == "event":
-        death = int(raw["n_preemptions"].sum())
-        boot = int(raw["n_draws"].sum())
-        reap = int(robs.reg.counter("events.reap").value)
-        channel_events = {
-            "death": death,
-            "comp": int(raw["n_events"].sum()) - death - boot - reap - arr,
-            "boot": boot,
-            "reap": reap,
-        }
-        if arr:
-            channel_events["arr"] = arr
-    else:
-        channel_events = None
-    return robs.finish(
-        n=n,
-        n_rounds=int(raw["n_rounds"]),
-        n_draws=int(raw["n_draws"].sum()),
-        channel_events=channel_events,
-        workers=workers,
     )
 
 
@@ -2162,7 +2014,7 @@ def _service_stats(robs, raw, backend: str, n: int, *, workers: int = 1, arr: in
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TenantOutcomes(_BilledSweepMixin):
+class TenantOutcomes(_SweepMeans, _BilledSweepMixin):
     """Per-replication results of one :func:`run_tenant_replications` sweep.
 
     Beyond the :class:`ServiceOutcomes`-style scalars, per-job timing
@@ -2223,16 +2075,8 @@ class TenantOutcomes(_BilledSweepMixin):
     stats: KernelStats | None = None
 
     @property
-    def n_replications(self) -> int:
-        return int(self.makespan.size)
-
-    @property
     def n_jobs(self) -> int:
         return int(self.job_tenant.size)
-
-    @property
-    def mean_makespan(self) -> float:
-        return float(self.makespan.mean())
 
     @property
     def wait_times(self) -> np.ndarray:
@@ -2287,12 +2131,11 @@ class _TenantReplication:
         from repro.traffic.multitenant import MultiTenantService
 
         self.sim = Simulator()
-        self.cloud = _RoundProtocolCloud(self.sim, dist, uniforms, replication, obs=obs)
         self.max_events = int(max_events)
         service_config = _oracle_service_config(config, "tenant-mc", backfill=False)
         self.mts = MultiTenantService(
             self.sim,
-            self.cloud,
+            _RoundProtocolCloud(self.sim, dist, uniforms, replication, obs=obs),
             dist,
             service_config,
             n_tenants=n_tenants,
@@ -2302,17 +2145,7 @@ class _TenantReplication:
             elastic_vms_per_bag=config.elastic_vms_per_bag,
             estimate_window=config.estimate_window,
         )
-        # Mirrored observability counters on the underlying controller
-        # and cluster manager (reaps, stalls, grace, queue depth).
-        self.mts.service.obs = obs
-        self.mts.service.cluster.obs = obs
-        # Per-pool lifetime laws for the cloud shim, resolved by the
-        # underlying controller (defaults filled in).
-        self.cloud.pools = self.mts.service.pools
-        if ckpt is not None:
-            # checkpoint="dp": share one CheckpointPolicy (hence one
-            # cached DP table) across the sweep's replications.
-            self.mts.service._ckpt = ckpt
+        _attach_oracle(self.mts.service, obs, ckpt)
         self.mts.submit_traffic(traffic)
 
     def run(self):
@@ -2328,14 +2161,10 @@ class _TenantReplication:
             if rec.admitted and rec.job is not None:
                 starts[k] = rec.job.start_time
                 finishes[k] = rec.job.finish_time
-        scalars = _oracle_run_scalars(
-            self.sim,
-            self.cloud,
-            self.mts.service.cluster,
-            run_master=self.mts.service.config.run_master,
-            n_pools=len(self.mts.service.pools),
-        )
-        return (*scalars, admitted, starts, finishes)
+        return (*_service_run_scalars(self.mts.service), admitted, starts, finishes)
+
+
+_TENANT_FIELDS = _SERVICE_FIELDS + ("admitted", "start_times", "finish_times")
 
 
 def _simulate_tenancy_event(
@@ -2349,85 +2178,21 @@ def _simulate_tenancy_event(
     max_events: int,
     obs=None,
 ) -> dict[str, np.ndarray | int]:
-    from repro.policies.checkpointing import CheckpointPolicy
-    from repro.sim.placement import resolve_pools
-
-    uniforms = _RoundUniforms(rng, n_replications)
-    n = int(n_replications)
-    nP = len(
-        resolve_pools(
-            config.pools,
-            dist=dist,
-            n_slots=config.max_vms,
-            provision_latency=config.provision_latency,
-        )
+    n_jobs = sum(len(s.jobs) for s in traffic)
+    return _simulate_event(
+        lambda uniforms, i, ckpt: _TenantReplication(
+            dist, traffic, n_tenants, config, uniforms, i, max_events,
+            ckpt=ckpt, obs=obs,
+        ),
+        _TENANT_FIELDS,
+        dist,
+        config,
+        config.max_vms,
+        n_replications=n_replications,
+        rng=rng,
+        obs=obs,
+        row_widths=dict.fromkeys(("admitted", "start_times", "finish_times"), n_jobs),
     )
-    # One shared policy (hence one cached DP table) across the sweep.
-    ckpt = (
-        CheckpointPolicy(
-            dist, step=config.checkpoint_step, delta=config.checkpoint_cost
-        )
-        if config.checkpoint == "dp"
-        else None
-    )
-    J = sum(len(s.jobs) for s in traffic)
-    makespan = np.zeros(n)
-    wasted = np.zeros(n)
-    completed = np.zeros(n, dtype=np.int64)
-    failures = np.zeros(n, dtype=np.int64)
-    preemptions = np.zeros(n, dtype=np.int64)
-    vm_hours = np.zeros(n)
-    pool_hours = np.zeros((n, nP))
-    master_hours = np.zeros(n)
-    events = np.zeros(n, dtype=np.int64)
-    draws = np.zeros(n, dtype=np.int64)
-    admitted = np.zeros((n, J), dtype=bool)
-    starts = np.full((n, J), np.nan)
-    finishes = np.full((n, J), np.nan)
-    for i in range(n):
-        rep = _TenantReplication(
-            dist, traffic, n_tenants, config, uniforms, i, max_events, ckpt=ckpt,
-            obs=obs,
-        )
-        (
-            makespan[i],
-            wasted[i],
-            completed[i],
-            failures[i],
-            preemptions[i],
-            vm_hours[i],
-            pool_hours[i],
-            master_hours[i],
-            events[i],
-            draws[i],
-            admitted[i],
-            starts[i],
-            finishes[i],
-        ) = rep.run()
-        if obs is not None:
-            # Engine mirror: real event-loop callbacks executed, summed
-            # across the sweep (a backend-local diagnostic; the arena
-            # event channels are the cross-backend contract).
-            obs.inc("engine.callbacks", rep.sim.events_processed)
-    raw = {
-        "makespan": makespan,
-        "wasted_hours": wasted,
-        "completed_jobs": completed,
-        "n_job_failures": failures,
-        "n_preemptions": preemptions,
-        "vm_hours": vm_hours,
-        "pool_vm_hours": pool_hours,
-        "master_hours": master_hours,
-        "n_events": events,
-        "n_draws": draws,
-        "admitted": admitted,
-        "start_times": starts,
-        "finish_times": finishes,
-        "n_rounds": int(events.max()) if n else 0,
-    }
-    if obs is not None:
-        obs.gauge("rng.rows").set(uniforms._filled)
-    return raw
 
 
 def run_tenant_replications(
@@ -2533,12 +2298,7 @@ def run_tenant_replications(
         simulate_tenancy_vectorized,
     )
 
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    if config is not None and config_kwargs:
-        raise ValueError("pass either config or its fields as kwargs, not both")
-    if config is None:
-        config = TenancyConfig(**config_kwargs)
+    config = _fleet_config(backend, config, config_kwargs, TenancyConfig)
     traffic = normalize_traffic(traffic)
     if not traffic:
         raise ValueError("traffic must be non-empty")
@@ -2558,90 +2318,28 @@ def run_tenant_replications(
             f"elastic_vms_per_bag {config.elastic_vms_per_bag} cannot cover "
             f"the widest job ({widest}); a lone active bag would deadlock"
         )
-    if n_replications < 0:
-        raise ValueError(f"n_replications must be >= 0, got {n_replications}")
     check_positive("max_events", max_events)
-    if chunk_size is not None:
-        check_positive("chunk_size", chunk_size)
-        if capture is not None:
-            raise ValueError(
-                "capture is incompatible with chunk_size: chunks consume "
-                "rows of differing widths, which no longer form one round "
-                "table"
-            )
-    workers = _check_workers(workers, capture)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if capture is not None:
-        capture._arm()
-        rng = _RecordingRNG(rng, capture)
-    simulate = (
-        simulate_tenancy_vectorized
-        if backend == "vectorized"
-        else _simulate_tenancy_event
+    event = backend == "event"
+    raw, stats = _sweep(
+        _Kernel(
+            "tenancy",
+            _simulate_tenancy_event if event else simulate_tenancy_vectorized,
+            (dist, traffic, T, config),
+            {"max_events": int(max_events)},
+            channels=(
+                partial(_service_channels, arrivals=n_replications * len(traffic))
+                if event
+                else None
+            ),
+        ),
+        backend=backend,
+        n_replications=n_replications,
+        seed=seed,
+        workers=workers,
+        capture=capture,
+        instrument=instrument,
+        chunk_size=chunk_size,
     )
-    n = int(n_replications)
-    if chunk_size is None or n <= chunk_size:
-        sizes = [n]
-    else:
-        sizes = [chunk_size] * (n // chunk_size)
-        if n % chunk_size:
-            sizes.append(n % chunk_size)
-    # Chunk 0 keeps the root generator (so a covering chunk is the
-    # unchunked run, byte for byte); later chunks get spawned children,
-    # making every chunk's stream independent of how many rounds its
-    # predecessors ran — the invariant that lets chunks be recomputed
-    # in isolation and sharded across workers.
-    if len(sizes) == 1:
-        chunk_rngs = [rng]
-    else:
-        chunk_rngs = [rng, *rng.spawn(len(sizes) - 1)]
-    robs = _RunObs(instrument, "tenancy", backend)
-    robs.chunk_sizes = tuple(sizes)
-    if workers > 1 and n > 1:
-        args = dict(
-            dist=dist,
-            traffic=traffic,
-            n_tenants=T,
-            config=config,
-            max_events=int(max_events),
-        )
-        if robs.on:
-            args["instrument"] = True
-        payloads = [
-            ("tenancy", backend, chunk_rngs[k], lo, hi, size, args)
-            for k, size in enumerate(sizes)
-            for lo, hi in _shard_bounds(size, min(workers, size))
-        ]
-        robs.shards = tuple((p[3], p[4]) for p in payloads)
-        with robs.timed("shards"):
-            raws = _run_sharded(payloads, workers)
-        robs.absorb(raws)
-        robs.progress(n, n)
-    else:
-        # Chunks run sequentially; each builds its own chunk-wide kernel
-        # (bounded peak memory) and the raw per-replication arrays are
-        # reduced by concatenation.  With instrumentation on, each
-        # chunk is timed and the progress callback fires as it lands.
-        raws = []
-        done = 0
-        for k, size in enumerate(sizes):
-            with robs.timed(f"chunk[{k}]" if len(sizes) > 1 else "simulate"):
-                raws.append(
-                    simulate(
-                        dist,
-                        traffic,
-                        T,
-                        config,
-                        n_replications=size,
-                        rng=chunk_rngs[k],
-                        max_events=int(max_events),
-                        obs=robs.reg,
-                    )
-                )
-            done += size
-            robs.progress(done, n)
-    with robs.timed("merge"):
-        raw = _merge_raws(raws)
     job_tenant = np.asarray(
         [s.tenant for s in traffic for _ in s.jobs], dtype=np.int64
     )
@@ -2661,8 +2359,6 @@ def run_tenant_replications(
         job_arrival=job_arrival,
         job_work=job_work,
         job_width=job_width,
-        stats=_service_stats(
-            robs, raw, backend, n, workers=workers, arr=n * len(traffic)
-        ),
+        stats=stats,
         **raw,
     )

@@ -97,6 +97,36 @@ class GangJob:
             raise ValueError(f"width must be >= 1, got {self.width}")
 
 
+def check_fleet_config(config) -> None:
+    """Validation shared by the cluster, service and tenancy configs.
+
+    Covers the pool catalog (coerced to a tuple; incompatible with
+    ``checkpoint="dp"``), the allocator name, and the checkpoint mode
+    and its parameters.
+    """
+    if config.pools is not None:
+        object.__setattr__(config, "pools", tuple(config.pools))
+        if config.checkpoint == "dp":
+            raise ValueError(
+                "pools are incompatible with checkpoint='dp': the DP "
+                "plan table is keyed to a single lifetime law"
+            )
+    make_allocator(config.allocator)
+    if config.checkpoint not in ("interval", "dp"):
+        raise ValueError(
+            f"checkpoint must be 'interval' or 'dp', got {config.checkpoint!r}"
+        )
+    if config.checkpoint_interval is not None:
+        if config.checkpoint == "dp":
+            raise ValueError(
+                "checkpoint='dp' plans per attempt; leave "
+                "checkpoint_interval unset"
+            )
+        check_positive("checkpoint_interval", config.checkpoint_interval)
+    check_nonnegative("checkpoint_cost", config.checkpoint_cost)
+    check_positive("checkpoint_step", config.checkpoint_step)
+
+
 @dataclass(frozen=True)
 class ClusterConfig:
     """Knobs of one batched cluster run (see the module docstring).
@@ -162,27 +192,7 @@ class ClusterConfig:
 
     def __post_init__(self) -> None:
         check_positive("pool_size", self.pool_size)
-        if self.pools is not None:
-            object.__setattr__(self, "pools", tuple(self.pools))
-            if self.checkpoint == "dp":
-                raise ValueError(
-                    "pools are incompatible with checkpoint='dp': the DP "
-                    "plan table is keyed to a single lifetime law"
-                )
-        make_allocator(self.allocator)
-        if self.checkpoint not in ("interval", "dp"):
-            raise ValueError(
-                f"checkpoint must be 'interval' or 'dp', got {self.checkpoint!r}"
-            )
-        if self.checkpoint_interval is not None:
-            if self.checkpoint == "dp":
-                raise ValueError(
-                    "checkpoint='dp' plans per attempt; leave "
-                    "checkpoint_interval unset"
-                )
-            check_positive("checkpoint_interval", self.checkpoint_interval)
-        check_nonnegative("checkpoint_cost", self.checkpoint_cost)
-        check_positive("checkpoint_step", self.checkpoint_step)
+        check_fleet_config(self)
 
 
 class _ClusterKernel(_LockstepKernel):

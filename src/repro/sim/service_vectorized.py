@@ -65,6 +65,7 @@ import numpy as np
 
 from repro.distributions.base import LifetimeDistribution
 from repro.policies.scheduling import ModelReusePolicy
+from repro.sim.cluster_vectorized import check_fleet_config
 from repro.sim.placement import PoolSpec, make_allocator, resolve_pools
 from repro.sim.vectorized import _LockstepKernel, _RESIDUAL, _SEQ_INF
 from repro.utils.validation import check_nonnegative, check_positive
@@ -182,29 +183,9 @@ class ServiceBatchConfig:
 
     def __post_init__(self) -> None:
         check_positive("max_vms", self.max_vms)
-        if self.pools is not None:
-            object.__setattr__(self, "pools", tuple(self.pools))
-            if self.checkpoint == "dp":
-                raise ValueError(
-                    "pools are incompatible with checkpoint='dp': the DP "
-                    "plan table is keyed to a single lifetime law"
-                )
-        make_allocator(self.allocator)
+        check_fleet_config(self)
         check_positive("hot_spare_hours", self.hot_spare_hours)
         check_nonnegative("provision_latency", self.provision_latency)
-        if self.checkpoint not in ("interval", "dp"):
-            raise ValueError(
-                f"checkpoint must be 'interval' or 'dp', got {self.checkpoint!r}"
-            )
-        if self.checkpoint_interval is not None:
-            if self.checkpoint == "dp":
-                raise ValueError(
-                    "checkpoint='dp' plans per attempt; leave "
-                    "checkpoint_interval unset"
-                )
-            check_positive("checkpoint_interval", self.checkpoint_interval)
-        check_nonnegative("checkpoint_cost", self.checkpoint_cost)
-        check_positive("checkpoint_step", self.checkpoint_step)
         check_positive("estimate_window", self.estimate_window)
         check_positive("max_attempts_per_job", self.max_attempts_per_job)
         check_positive("livelock_threshold", self.livelock_threshold)

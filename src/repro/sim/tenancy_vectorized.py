@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.distributions.base import LifetimeDistribution
-from repro.sim.cluster_vectorized import GangJob
+from repro.sim.cluster_vectorized import GangJob, check_fleet_config
 from repro.sim.placement import PoolSpec, make_allocator
 from repro.sim.service_vectorized import _ServiceKernel
 from repro.sim.vectorized import _RESIDUAL, _SEQ_INF
@@ -166,29 +166,9 @@ class TenancyConfig:
 
     def __post_init__(self) -> None:
         check_positive("max_vms", self.max_vms)
-        if self.pools is not None:
-            object.__setattr__(self, "pools", tuple(self.pools))
-            if self.checkpoint == "dp":
-                raise ValueError(
-                    "pools are incompatible with checkpoint='dp': the DP "
-                    "plan table is keyed to a single lifetime law"
-                )
-        make_allocator(self.allocator)
+        check_fleet_config(self)
         check_positive("hot_spare_hours", self.hot_spare_hours)
         check_nonnegative("provision_latency", self.provision_latency)
-        if self.checkpoint not in ("interval", "dp"):
-            raise ValueError(
-                f"checkpoint must be 'interval' or 'dp', got {self.checkpoint!r}"
-            )
-        if self.checkpoint_interval is not None:
-            if self.checkpoint == "dp":
-                raise ValueError(
-                    "checkpoint='dp' plans per attempt; leave "
-                    "checkpoint_interval unset"
-                )
-            check_positive("checkpoint_interval", self.checkpoint_interval)
-        check_nonnegative("checkpoint_cost", self.checkpoint_cost)
-        check_positive("checkpoint_step", self.checkpoint_step)
         check_positive("estimate_window", self.estimate_window)
         check_positive("max_attempts_per_job", self.max_attempts_per_job)
         check_positive("livelock_threshold", self.livelock_threshold)

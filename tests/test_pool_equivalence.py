@@ -28,7 +28,10 @@ from repro.sim.backend import (
     run_service_replications,
     run_tenant_replications,
 )
+from repro.sim.cluster_vectorized import ClusterConfig
 from repro.sim.placement import PoolSpec, resolve_pools
+from repro.sim.service_vectorized import ServiceBatchConfig
+from repro.sim.tenancy_vectorized import TenancyConfig
 
 SEEDS = [0, 1, 2, 3, 4]
 
@@ -111,11 +114,18 @@ class TestCatalog:
         with pytest.raises(ValueError, match="size must be positive"):
             resolve_pools((PoolSpec("a", 0),), dist=FLAKY, n_slots=0)
 
-    def test_pools_incompatible_with_dp_checkpointing(self):
-        from repro.sim.cluster_vectorized import ClusterConfig
-
+    @pytest.mark.parametrize(
+        "config_cls, size_field",
+        [
+            (ClusterConfig, "pool_size"),
+            (ServiceBatchConfig, "max_vms"),
+            (TenancyConfig, "max_vms"),
+        ],
+        ids=["cluster", "service", "tenancy"],
+    )
+    def test_pools_incompatible_with_dp_checkpointing(self, config_cls, size_field):
         with pytest.raises(ValueError, match="pools"):
-            ClusterConfig(pool_size=4, pools=POOLS_4, checkpoint="dp")
+            config_cls(**{size_field: 4}, pools=POOLS_4, checkpoint="dp")
 
     def test_unknown_allocator_rejected(self):
         from repro.sim.cluster_vectorized import ClusterConfig

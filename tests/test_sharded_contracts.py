@@ -37,6 +37,9 @@ ENTRY_POINTS = [
     lambda **kw: run_service_replications(DIST, JOBS, max_vms=2, **kw),
     lambda **kw: run_tenant_replications(DIST, TRAFFIC, max_vms=2, **kw),
 ]
+KINDS = ["plan", "cluster", "service", "tenancy"]
+#: The one entry point that takes ``chunk_size``.
+CHUNKED_ENTRY = ENTRY_POINTS[3]
 
 
 class TestWorkersValidation:
@@ -52,15 +55,22 @@ class TestWorkersValidation:
         with pytest.raises(ValueError, match="capture is incompatible with workers"):
             entry(n_replications=4, workers=2, capture=capture)
 
-    def test_capture_left_fresh_after_rejection(self):
+    @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=KINDS)
+    def test_capture_left_fresh_after_rejection(self, entry):
         """The rejection fires before arming: the capture stays usable."""
         capture = DrawCapture()
         with pytest.raises(ValueError, match="capture is incompatible"):
-            run_replications(
-                DIST, SEGMENTS, n_replications=4, workers=2, capture=capture
-            )
+            entry(n_replications=4, workers=2, capture=capture)
         assert capture.n_rounds == 0
-        run_replications(DIST, SEGMENTS, n_replications=4, capture=capture)
+        entry(n_replications=4, capture=capture)
+        assert capture.n_rounds > 0
+
+    def test_capture_with_chunk_size_rejected_before_arming(self):
+        capture = DrawCapture()
+        with pytest.raises(ValueError, match="capture is incompatible with chunk_size"):
+            CHUNKED_ENTRY(n_replications=4, chunk_size=2, capture=capture)
+        assert capture.n_rounds == 0
+        CHUNKED_ENTRY(n_replications=4, capture=capture)
         assert capture.n_rounds > 0
 
     def test_unpicklable_inputs_rejected_before_spawn(self):
@@ -84,6 +94,56 @@ class TestWorkersValidation:
         out = entry(n_replications=3, workers=1, capture=capture)
         assert capture.n_rounds > 0
         assert capture.uniforms.shape[1] == 3
+
+
+def _progress_calls(entry, **kw):
+    from repro.obs import Instrumentation
+
+    calls = []
+    inst = Instrumentation(progress=lambda done, total, *_: calls.append((done, total)))
+    out = entry(instrument=inst, **kw)
+    return calls, out.stats
+
+
+class TestOneSweepDriver:
+    """Every entry point runs through the same driver, so progress,
+    worker accounting and phase names follow one scheme for every kind."""
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=KINDS)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_progress_fires_once_for_an_unchunked_run(self, entry, workers):
+        calls, _ = _progress_calls(entry, n_replications=5, workers=workers)
+        assert calls == [(5, 5)]
+
+    def test_progress_fires_per_streamed_chunk(self):
+        calls, _ = _progress_calls(CHUNKED_ENTRY, n_replications=5, chunk_size=2)
+        assert calls == [(2, 5), (4, 5), (5, 5)]
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=KINDS)
+    @pytest.mark.parametrize("n, workers", [(3, 1), (1, 2), (0, 3)])
+    def test_serial_path_reports_one_worker_and_no_shards(self, entry, n, workers):
+        stats = entry(n_replications=n, workers=workers, instrument=True).stats
+        assert stats.workers == 1
+        assert stats.shards == ()
+        assert stats.chunk_sizes == (n,)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=KINDS)
+    @pytest.mark.parametrize("backend", ["event", "vectorized"])
+    def test_single_chunk_phase_names(self, entry, backend):
+        stats = entry(n_replications=3, backend=backend, instrument=True).stats
+        assert set(stats.phase_seconds) == {f"simulate:{backend}", "merge"}
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=KINDS)
+    def test_sharded_phase_names(self, entry):
+        stats = entry(n_replications=5, workers=2, instrument=True).stats
+        assert set(stats.phase_seconds) == {"shards", "merge"}
+        assert stats.workers == 2
+        assert stats.shards == ((0, 3), (3, 5))
+
+    def test_chunked_phase_names(self):
+        stats = CHUNKED_ENTRY(n_replications=5, chunk_size=2, instrument=True).stats
+        assert set(stats.phase_seconds) == {"chunk[0]", "chunk[1]", "chunk[2]", "merge"}
+        assert stats.chunk_sizes == (2, 2, 1)
 
 
 @pytest.mark.compiled
