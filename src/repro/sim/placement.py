@@ -85,7 +85,8 @@ class PoolSpec:
     boot_latency:
         Provisioning delay for this pool's boots, hours.  ``None``
         inherits the config-level ``provision_latency``.  The cluster
-        kernel boots instantaneously and ignores this field.
+        boots instantaneously, so ``ClusterConfig`` accepts only
+        ``None`` or ``0`` here.
     """
 
     name: str

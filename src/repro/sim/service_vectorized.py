@@ -47,8 +47,11 @@ What the kernel reproduces, event for event
 
 Service round protocol
 ----------------------
-Randomness and event ordering follow the cluster round protocol
-(:mod:`repro.sim.cluster_vectorized`): only worker-VM lifetimes consume
+The round loop and the fleet mechanics are the shared core in
+:class:`repro.sim.vectorized._LockstepKernel`; this module supplies the
+controller's policy.  Randomness and event ordering follow the cluster
+round protocol (:mod:`repro.sim.cluster_vectorized`): only worker-VM
+lifetimes consume
 uniforms (one draw per boot *event*, in fire order; the master draws
 nothing), and all pending events — VM deaths, segment completions,
 worker boots, idle reaps — carry per-replication ``(time, insertion
@@ -64,10 +67,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.distributions.base import LifetimeDistribution
-from repro.policies.scheduling import ModelReusePolicy
 from repro.sim.cluster_vectorized import check_fleet_config
-from repro.sim.placement import PoolSpec, make_allocator, resolve_pools
-from repro.sim.vectorized import _LockstepKernel, _RESIDUAL, _SEQ_INF
+from repro.sim.placement import PoolSpec
+from repro.sim.vectorized import _LockstepKernel, _SEQ_INF
 from repro.utils.validation import check_nonnegative, check_positive
 
 __all__ = [
@@ -223,13 +225,15 @@ class ServiceBatchConfig:
             checkpoint_step=config.checkpoint_step,
             max_attempts_per_job=config.max_attempts_per_job,
             livelock_threshold=config.livelock_threshold,
-            pools=getattr(config, "pools", None),
-            allocator=getattr(config, "allocator", "first_fit"),
+            pools=config.pools,
+            allocator=config.allocator,
         )
 
 
 class _ServiceKernel(_LockstepKernel):
-    """Array state and phase operations of the lockstep service sweep."""
+    """The controller policy on the lockstep fleet core: boot events,
+    reap timers, the terminate-all stall, boot grace, the livelock
+    guard and master billing, with Eq. 8 judged on the bag estimate."""
 
     _sweep_name = "service"
 
@@ -251,152 +255,43 @@ class _ServiceKernel(_LockstepKernel):
         max_events: int,
         obs=None,
     ):
-        self.dist = dist
-        self.cfg = config
-        self.obs = obs
-        self.n = int(n_replications)
-        self.max_events = int(max_events)
-        from repro.sim.backend import _RoundUniforms
-        from repro.sim.checkpoint_vectorized import walker_from_config
-
-        # Pool catalog + allocator ranking (shared with the event
-        # oracle); per-pool boot latency defaults to provision_latency.
-        self.pools = resolve_pools(
-            config.pools,
-            dist=dist,
-            n_slots=config.max_vms,
+        self.B = config.max_vms  # pending-boot slots
+        # The controller always uses the survival-conditioned criterion.
+        super().__init__(
+            dist, jobs, config, n_replications, rng, max_events, obs,
+            fleet_cap=config.max_vms,
+            n_cols=config.max_vms,
+            criterion="conditional",
             provision_latency=config.provision_latency,
         )
-        self.nP = len(self.pools)
-        rank = make_allocator(config.allocator).rank_for(self.pools)
-        self.rank = np.asarray(rank, dtype=np.int64)
-        self.rank_of = np.empty(self.nP, dtype=np.int64)
-        self.rank_of[self.rank] = np.arange(self.nP)
-        self.pool_sizes = np.asarray([p.size for p in self.pools], dtype=np.int64)
-        self.latency = np.asarray([p.boot_latency for p in self.pools])
-        # The controller always uses the survival-conditioned criterion
-        # (one policy per pool: each worker is judged under its own law).
-        self.policies = (
-            [
-                ModelReusePolicy(p.dist, criterion="conditional")
-                for p in self.pools
-            ]
-            if config.use_reuse_policy
-            else None
-        )
-        self.policy = self.policies[0] if self.policies is not None else None
-        self.table = _RoundUniforms(rng, self.n)
-
         n = self.n
-        S = B = config.max_vms  # worker columns / pending-boot slots
-        J = len(jobs)
-        self.S, self.B, self.J = S, B, J
-        self.width = np.asarray([j.width for j in jobs], dtype=np.int64)
-        self.work = np.asarray([j.work_hours for j in jobs], dtype=float)
-        self.dp = walker_from_config(dist, config, n, self.work)
-
-        self.now = np.zeros(n)
-        self.evseq = np.zeros(n, dtype=np.int64)
-        self.draw_k = np.zeros(n, dtype=np.int64)
-        self.births = np.zeros(n, dtype=np.int64)
-        # Fused event table: deaths, completions, boots, and reap
-        # timers are channel views (see EventArena; dead columns hold
-        # death == inf).  The tenancy subclass swaps the completion
-        # channel for its compact running slots.
-        self._init_arena(n)
-        # Worker-VM columns (ordering is (pool rank, launch, birth) —
-        # (launch, birth) alone with a single pool).
-        self.alive = np.zeros((n, S), dtype=bool)
-        self.launch = np.zeros((n, S))
-        self.birth = np.full((n, S), -1, dtype=np.int64)
-        self.vm_job = np.full((n, S), -1, dtype=np.int64)
-        self.vm_pool = np.full((n, S), -1, dtype=np.int64)
         self.provisioning = np.zeros(n, dtype=np.int64)
-        self.boot_pool = np.full((n, B), -1, dtype=np.int64)
-        self.provisioning_pool = np.zeros((n, self.nP), dtype=np.int64)
-        # Job state.
-        self.qkey = np.broadcast_to(np.arange(J, dtype=float), (n, J)).copy()
-        self.head_key = np.full(n, -1.0)  # next requeue-at-head key
-        self.progress = np.zeros((n, J))
-        self.sstart = np.zeros((n, J))
-        self.seg_take = np.zeros((n, J))
-        self.seg_after = np.zeros((n, J))
-        self.attempts = np.zeros((n, J), dtype=np.int64)
+        self.boot_pool = np.full((n, self.B), -1, dtype=np.int64)
+        self.attempts = np.zeros((n, self.J), dtype=np.int64)
         # Livelock guardrail: consecutive stall rounds that terminated
         # rejected workers with no job start/completion in between.
         self.stall_strikes = np.zeros(n, dtype=np.int64)
-        # Bag runtime estimate (sequential-sum trailing mean).
-        W = config.estimate_window
-        self.est = np.full(n, self.work[0] if J else 0.0)
-        self.buf = np.zeros((n, W))
-        self.buf_pos = np.zeros(n, dtype=np.int64)
-        self.buf_len = np.zeros(n, dtype=np.int64)
-        # Outcomes.
-        self.makespan = np.zeros(n)
-        self.wasted = np.zeros(n)
-        self.done_count = np.zeros(n, dtype=np.int64)
-        self.failures = np.zeros(n, dtype=np.int64)
-        self.preemptions = np.zeros(n, dtype=np.int64)
-        self.vm_hours = np.zeros(n)
-        self.pool_hours = np.zeros((n, self.nP))
-        self.master_hours = np.zeros(n)
-        self.events = np.zeros(n, dtype=np.int64)
+        # Bag runtime estimate, from the first job's declaration.
+        self._init_estimates(np.full(n, self.work[0] if self.J else 0.0))
 
-    # -- pool helpers ----------------------------------------------------
-    def _boot_pool(self, rr: np.ndarray, rank_rows: np.ndarray | None = None) -> np.ndarray:
-        """First ranked pool with headroom (alive + in-flight boots count).
+    def _t0(self, rows: np.ndarray) -> None:
+        """Submission: every submit stalls the empty pool, but only the
+        first provisions (deficit = head width, capped)."""
+        if self.J:
+            k0 = np.full(rows.size, min(int(self.width[0]), self.cfg.max_vms))
+            self._schedule_boots(rows, k0)
 
-        ``rank_rows`` — optional per-row ``(R, nP)`` preference order
-        (the tenancy kernel's tenant affinity); ``None`` uses the
-        allocator's static ranking.  Pure function of pre-draw state.
-        """
-        if self.nP == 1:
-            return np.zeros(rr.size, dtype=np.int64)
-        occ = self.provisioning_pool[rr].copy()
-        vp = self.vm_pool[rr]
-        al = self.alive[rr]
-        for p in range(self.nP):
-            occ[:, p] += (al & (vp == p)).sum(axis=1)
-        headroom = self.pool_sizes[None, :] - occ
-        if rank_rows is None:
-            ranked = headroom[:, self.rank]
-            if not (ranked > 0).any(axis=1).all():
-                raise RuntimeError("no pool headroom; fleet invariant violated")
-            return self.rank[np.argmax(ranked > 0, axis=1)]
-        ranked = np.take_along_axis(headroom, rank_rows, axis=1)
-        if not (ranked > 0).any(axis=1).all():
-            raise RuntimeError("no pool headroom; fleet invariant violated")
-        first = np.argmax(ranked > 0, axis=1)
-        return rank_rows[np.arange(rr.size), first]
+    def _raw_extras(self) -> dict[str, np.ndarray]:
+        """The non-preemptible master is billed for the makespan."""
+        master = self.makespan.copy() if self.cfg.run_master else np.zeros(self.n)
+        return {"master_hours": master}
 
-    def _pool_ppf(self, u: np.ndarray, pool: np.ndarray) -> np.ndarray:
-        """Map boot uniforms through each boot's pool's inverse CDF."""
-        if self.nP == 1:
-            return np.asarray(self.pools[0].dist.ppf(u), dtype=float)
-        life = np.empty(u.shape)
-        for p, spec in enumerate(self.pools):
-            m = pool == p
-            if m.any():
-                life[m] = np.asarray(spec.dist.ppf(u[m]), dtype=float)
-        return life
+    # -- Eq. 8 on the bag estimate ----------------------------------------
+    def _head_length(self, rr: np.ndarray, head: np.ndarray) -> np.ndarray:
+        return self.est[self._estimate_slot(rr, head)]
 
-    def _rank_cols(
-        self, rr: np.ndarray, jj: np.ndarray | None = None
-    ) -> np.ndarray | None:
-        """Allocator rank of each VM column (``None`` with one pool).
-
-        ``jj`` is the job being placed; the base kernel's ranking is
-        job-independent, the tenancy kernel refines it per tenant.
-        """
-        if self.nP == 1:
-            return None
-        vp = self.vm_pool[rr]
-        return np.where(
-            vp >= 0, self.rank_of[np.clip(vp, 0, None)], np.iinfo(np.int64).max
-        )
-
-    def _decide(self, rr: np.ndarray, T: np.ndarray, ages: np.ndarray) -> np.ndarray:
-        """Per-pool Eq. 8 verdicts plus the fresh-boot grace window.
+    def _verdict(self, rr, T, ages, free) -> np.ndarray:
+        """Pure Eq. 8 verdicts plus the fresh-boot grace window.
 
         A worker no older than its pool's boot latency is always
         accepted: terminating it can only buy a replacement that
@@ -408,17 +303,15 @@ class _ServiceKernel(_LockstepKernel):
         bathtub laws the criterion already accepts infant ages, so
         existing single-pool outcomes are unchanged.
         """
-        if self.nP == 1:
-            ok = self.policies[0].decide_pairs(T, ages)
-            return ok | (ages <= self.latency[0])
-        out = np.zeros(np.broadcast_shapes(T.shape, ages.shape), dtype=bool)
         vp = self.vm_pool[rr]
-        for p, pol in enumerate(self.policies):
-            m = vp == p
-            if m.any():
-                verdict = pol.decide_pairs(T, ages) | (ages <= self.latency[p])
-                out |= m & verdict
-        return out
+        latency = self.latency[0] if self.nP == 1 else self.latency[np.clip(vp, 0, None)]
+        return self._eq8(T, ages, free, vp) | (free & (ages <= latency))
+
+    def _backfill_suit(self, rr: np.ndarray, free: np.ndarray) -> np.ndarray:
+        """All bag members share one estimate-based mask."""
+        if self.policies is None:
+            return free[:, None, :]
+        return self._judge(rr, free, self.est[rr])[:, None, :]
 
     # -- primitive operations (all take a row-index array) --------------
     def _schedule_boots(
@@ -449,99 +342,17 @@ class _ServiceKernel(_LockstepKernel):
             self.provisioning_pool[sub, pool] += 1
         self.provisioning[rr] += k
 
-    def _suitability(self, rr: np.ndarray):
-        """(free, suitable) masks under the bag-estimate Eq. 8 filter."""
-        free = self.alive[rr] & (self.vm_job[rr] == -1)
-        return free, self._judge_free_rows(rr, free, self.est[rr])
+    def _cancel_reaps(self, rr: np.ndarray, cols: np.ndarray) -> None:
+        """Cancel the retention timers of the ``cols`` mask."""
+        self.reap_time[rr] = np.where(cols, np.inf, self.reap_time[rr])
+        self.reap_seq[rr] = np.where(cols, _SEQ_INF, self.reap_seq[rr])
 
-    def _judge_free_rows(
-        self, rr: np.ndarray, free: np.ndarray, est: np.ndarray
-    ) -> np.ndarray:
-        """The suitable mask ``free & Eq. 8(est, age)``, judged only on
-        rows with a free VM — a row without one is all ``False``
-        whatever the verdicts, so it costs no Eq. 8 cells."""
-        if self.policies is None:
-            return free
-        has = free.any(axis=1)
-        suit = free.copy()
-        if has.any():
-            r = rr[has]
-            T = np.maximum(est[has], 1e-6)
-            ages = np.maximum(self.now[r][:, None] - self.launch[r], 0.0)
-            suit[has] &= self._decide(r, T[:, None], ages)
-        return suit
-
-    def _head_state(self, rr: np.ndarray):
-        """Queue head + suitability per row; drops queue-less rows."""
-        qk = self.qkey[rr]
-        head = np.argmin(qk, axis=1)
-        has = qk[np.arange(rr.size), head] < np.inf
-        rr, head = rr[has], head[has]
-        if not rr.size:
-            return rr, head, None, None, None
-        free, suit = self._suitability(rr)
-        return rr, head, self.width[head], suit, free
-
-    def _start_job(self, rr: np.ndarray, jj: np.ndarray, suit: np.ndarray) -> None:
-        """Start job ``jj`` on its ``width`` oldest suitable VMs per row
-        (pool rank first, then launch/birth age)."""
-        w = self.width[jj]
-        order = self._oldest(suit, rr, self._rank_cols(rr, jj))
-        pos = np.arange(self.S)[None, :] < w[:, None]
-        sel = np.zeros((rr.size, self.S), dtype=bool)
-        np.put_along_axis(sel, order, pos, axis=1)
+    def _on_start(self, rr: np.ndarray, jj: np.ndarray, sel: np.ndarray) -> None:
         self.stall_strikes[rr] = 0  # a job is starting: real progress
         # Starting work cancels the VMs' retention timers
         # (the controller's _select_nodes hygiene).
-        self.reap_time[rr] = np.where(sel, np.inf, self.reap_time[rr])
-        self.reap_seq[rr] = np.where(sel, _SEQ_INF, self.reap_seq[rr])
-        self.vm_job[rr] = np.where(sel, jj[:, None], self.vm_job[rr])
-        self.qkey[rr, jj] = np.inf
+        self._cancel_reaps(rr, sel)
         self.attempts[rr, jj] += 1
-        left = np.maximum(self.work[jj] - self.progress[rr, jj], 0.0)
-        if self.dp is not None:
-            # Re-plan the attempt at the gang's oldest selected VM age
-            # (the ClusterManager._start planner argument).
-            ages = np.where(
-                sel, self.now[rr][:, None] - self.launch[rr], -np.inf
-            ).max(axis=1)
-            self.dp.begin(rr, jj, left, np.maximum(ages, 0.0))
-        self._launch_segment(rr, jj, left)
-
-    def _schedule_pass(self, rr: np.ndarray) -> None:
-        """One ``try_schedule`` invocation: head starts, stall, backfill."""
-        stuck = self._start_heads(rr)
-        if stuck is not None:
-            self._stall_actions(*stuck)
-            if self.cfg.backfill:
-                self._backfill_scan(stuck[0])
-
-    def _start_heads(self, rr: np.ndarray):
-        """Start queue heads until each row's head is stuck or its queue
-        is empty.
-
-        Returns the stuck rows' judgment ``(rr, head, width, suit,
-        free)`` — the exact state ``_stall_actions`` acts on, since no
-        later start touches a stuck row — or ``None`` when no row
-        stalled.  Each head is judged by Eq. 8 once per pass.
-        """
-        stuck: list[tuple] = []
-        while rr.size:
-            rr, head, w, suit, free = self._head_state(rr)
-            if not rr.size:
-                break
-            ok = suit.sum(axis=1) >= w
-            if not ok.all():
-                bad = ~ok
-                stuck.append((rr[bad], head[bad], w[bad], suit[bad], free[bad]))
-                rr, head, suit = rr[ok], head[ok], suit[ok]
-                if not rr.size:
-                    break
-            self._start_job(rr, head, suit)
-            # Loop: the next queue head may start in the same instant.
-        if not stuck:
-            return None
-        return tuple(np.concatenate(part) for part in zip(*stuck))
 
     def _stall_actions(
         self,
@@ -569,23 +380,8 @@ class _ServiceKernel(_LockstepKernel):
                 u = unsuit[kill]
                 if self.obs is not None:
                     self.obs.inc("stall.terminations", int(u.sum()))
-                hours = np.where(
-                    u, self.now[rk][:, None] - self.launch[rk], 0.0
-                )
-                self.vm_hours[rk] += hours.sum(axis=1)
-                if self.nP > 1:
-                    vp = self.vm_pool[rk]
-                    for p in range(self.nP):
-                        self.pool_hours[rk, p] += np.where(
-                            u & (vp == p), hours, 0.0
-                        ).sum(axis=1)
-                else:
-                    self.pool_hours[rk, 0] += hours.sum(axis=1)
-                self.alive[rk] &= ~u
-                self.death[rk] = np.where(u, np.inf, self.death[rk])
-                self.dseq[rk] = np.where(u, _SEQ_INF, self.dseq[rk])
-                self.reap_time[rk] = np.where(u, np.inf, self.reap_time[rk])
-                self.reap_seq[rk] = np.where(u, _SEQ_INF, self.reap_seq[rk])
+                self._retire(rk, u, self.now[rk][:, None])
+                self._cancel_reaps(rk, u)
                 self._count_stall_strikes(rk)
         n_suit = suit.sum(axis=1)
         n_alive = self.alive[rr].sum(axis=1)
@@ -607,11 +403,6 @@ class _ServiceKernel(_LockstepKernel):
         overrides this with its elastic-in-active-bags cap."""
         return np.full(rr.size, self.cfg.max_vms, dtype=np.int64)
 
-    def _stall_T(self, rr: np.ndarray, head: np.ndarray) -> np.ndarray:
-        """The runtime estimate the stalled head is judged against —
-        the bag-wide estimate here; the tenancy kernel's is per-bag."""
-        return np.maximum(self.est[rr], 1e-6)
-
     def _count_graced(self, rr: np.ndarray, head: np.ndarray, free: np.ndarray) -> None:
         """Boot-grace near-miss census at a stall action.
 
@@ -621,7 +412,7 @@ class _ServiceKernel(_LockstepKernel):
         pinned state at the stall choke point, so the event oracle's
         controller mirror produces the exact same totals.
         """
-        ages = np.maximum(self.now[rr][:, None] - self.launch[rr], 0.0)
+        ages = self._ages(rr)
         vp = self.vm_pool[rr]
         # Only a free worker inside its grace window can be graced, so
         # pure Eq. 8 is evaluated on the rows that hold one.
@@ -629,16 +420,9 @@ class _ServiceKernel(_LockstepKernel):
         rows = cand.any(axis=1)
         graced = 0
         if rows.any():
-            cand, ages, vp = cand[rows], ages[rows], vp[rows]
-            T = self._stall_T(rr[rows], head[rows])[:, None]
-            if self.nP == 1:
-                pure = self.policies[0].decide_pairs(T, ages)
-            else:
-                pure = np.zeros(cand.shape, dtype=bool)
-                for p, pol in enumerate(self.policies):
-                    m = cand & (vp == p)
-                    if m.any():
-                        pure |= m & pol.decide_pairs(T, ages)
+            cand = cand[rows]
+            T = np.maximum(self._head_length(rr[rows], head[rows]), 1e-6)[:, None]
+            pure = self._eq8(T, ages[rows], cand, vp[rows])
             graced = int((cand & ~pure).sum())
         self.obs.inc("stall.graced", graced)
 
@@ -659,78 +443,20 @@ class _ServiceKernel(_LockstepKernel):
                 "disable use_reuse_policy"
             )
 
-    def _backfill_scan(self, rr: np.ndarray) -> None:
-        """Start jobs behind the stuck head in queue order (unreserved).
-
-        All bag members share one estimate-based suitability mask, so
-        the scan is the cluster kernel's with a row-uniform filter; the
-        stuck head is excluded by the same width test that stalled it.
-        """
-        while rr.size:
-            _, suit = self._suitability(rr)
-            n_s = suit.sum(axis=1)
-            queued = np.isfinite(self.qkey[rr])
-            startable = queued & (self.width[None, :] <= n_s[:, None])
-            has = startable.any(axis=1)
-            rr, startable, suit = rr[has], startable[has], suit[has]
-            if not rr.size:
-                return
-            jkey = np.where(startable, self.qkey[rr], np.inf)
-            jc = np.argmin(jkey, axis=1)
-            self._start_job(rr, jc, suit)
-
-    def _record_completion(self, rr: np.ndarray, jj: np.ndarray) -> None:
-        """Push the job's declared hours into the bag estimate.
-
-        Reproduces ``BagOfJobs.estimated_runtime`` bit for bit: the
-        trailing ``estimate_window`` values are summed sequentially in
-        completion order, then divided by the window length.
-        """
-        W = self.cfg.estimate_window
-        pos = self.buf_pos[rr]
-        self.buf[rr, pos] = self.work[jj]
-        self.buf_pos[rr] = (pos + 1) % W
-        self.buf_len[rr] = np.minimum(self.buf_len[rr] + 1, W)
-        k = self.buf_len[rr]
-        start = np.where(k < W, 0, self.buf_pos[rr])
-        total = np.zeros(rr.size)
-        for t in range(W):
-            vals = self.buf[rr, (start + t) % W]
-            total = np.where(t < k, total + vals, total)
-        self.est[rr] = total / k
-
     # -- event rounds ----------------------------------------------------
-    def _process_deaths(self, rr: np.ndarray, col: np.ndarray) -> None:
-        self.alive[rr, col] = False
-        self.dseq[rr, col] = _SEQ_INF
-        self.vm_hours[rr] += self.death[rr, col] - self.launch[rr, col]
-        self.pool_hours[rr, np.clip(self.vm_pool[rr, col], 0, None)] += (
-            self.death[rr, col] - self.launch[rr, col]
-        )
-        self.death[rr, col] = np.inf
-        self.preemptions[rr] += 1
-        # Death cancels the VM's retention timer.
+    def _vm_lost(self, rr: np.ndarray, col: np.ndarray) -> None:
+        # Death cancels the VM's retention timer; an idle death needs
+        # nothing more (no rescheduling pass — the cluster only drops
+        # the node).
         self.reap_time[rr, col] = np.inf
         self.reap_seq[rr, col] = _SEQ_INF
-        jd = self.vm_job[rr, col]
-        busy = jd >= 0
-        rb, jb = rr[busy], jd[busy]
-        if rb.size:
-            # Gang abort: waste the segment, requeue at the head,
-            # release the survivors; idle deaths need nothing more
-            # (no rescheduling pass — the cluster only drops the node).
-            if np.any(self.attempts[rb, jb] >= self.cfg.max_attempts_per_job):
-                raise RuntimeError(
-                    f"a job exceeded {self.cfg.max_attempts_per_job} attempts"
-                )
-            self.wasted[rb] += self.now[rb] - self.sstart[rb, jb]
-            self.failures[rb] += 1
-            self._clear_segment(rb, jb)
-            self.qkey[rb, jb] = self.head_key[rb]
-            self.head_key[rb] -= 1.0
-            gang = self.vm_job[rb] == jb[:, None]
-            self.vm_job[rb] = np.where(gang, -1, self.vm_job[rb])
-            self._schedule_pass(rb)
+
+    def _abort(self, rr: np.ndarray, jj: np.ndarray) -> None:
+        if np.any(self.attempts[rr, jj] >= self.cfg.max_attempts_per_job):
+            raise RuntimeError(
+                f"a job exceeded {self.cfg.max_attempts_per_job} attempts"
+            )
+        super()._abort(rr, jj)
 
     def _schedule_reaps(self, rr: np.ndarray, released: np.ndarray) -> None:
         """Retention timers for a released gang, in free-pool order
@@ -752,36 +478,19 @@ class _ServiceKernel(_LockstepKernel):
         )
         self.evseq[rr] += released.sum(axis=1)
 
-    def _process_completions(self, rr: np.ndarray, jj: np.ndarray) -> None:
-        take = self.seg_take[rr, jj]
-        self.progress[rr, jj] = np.minimum(self.progress[rr, jj] + take, self.work[jj])
-        after = self.seg_after[rr, jj]
-        more = after > _RESIDUAL
-        rc, jc = rr[more], jj[more]
-        if rc.size:  # checkpoint written; next segment in the same instant
-            self._launch_segment(rc, jc, after[more])
-        rf, jf = rr[~more], jj[~more]
-        if rf.size:
-            self._clear_segment(rf, jf)
-            gang = self.vm_job[rf] == jf[:, None]
-            self.vm_job[rf] = np.where(gang, -1, self.vm_job[rf])
-            # Release order: idle timers first (queue empty only), then
-            # the estimate update, then the scheduling pass — exactly
-            # _job_completed's release -> callbacks -> try_schedule.
-            qempty = ~np.isfinite(self.qkey[rf]).any(axis=1)
-            rq = rf[qempty]
-            if rq.size:
-                self._schedule_reaps(rq, gang[qempty])
-            self.stall_strikes[rf] = 0
-            self._record_completion(rf, jf)
-            self.done_count[rf] += 1
-            finished = self.done_count[rf] == self.J
-            self.makespan[rf[finished]] = self.now[rf[finished]]
-            still = rf[~finished]
-            if still.size:
-                self._schedule_pass(still)
+    def _job_done(self, rr: np.ndarray, jj: np.ndarray, gang: np.ndarray) -> None:
+        # Release order: idle timers first (queue empty only), then the
+        # estimate update, then the scheduling pass — exactly
+        # _job_completed's release -> callbacks -> try_schedule.
+        qempty = ~np.isfinite(self.qkey[rr]).any(axis=1)
+        rq = rr[qempty]
+        if rq.size:
+            self._schedule_reaps(rq, gang[qempty])
+        self.stall_strikes[rr] = 0
+        self._record_completion(rr, jj)
+        self._schedule_pass(rr)
 
-    def _process_boots(self, rr: np.ndarray, slot: np.ndarray) -> None:
+    def _on_boot(self, rr: np.ndarray, slot: np.ndarray) -> None:
         """A provisioned worker joins: draw its lifetime, add the node."""
         self.btime[rr, slot] = np.inf
         self.bseq[rr, slot] = _SEQ_INF
@@ -789,25 +498,10 @@ class _ServiceKernel(_LockstepKernel):
         pool = np.clip(self.boot_pool[rr, slot], 0, None)
         self.boot_pool[rr, slot] = -1
         self.provisioning_pool[rr, pool] -= 1
-        u = self.table.gather(rr, self.draw_k[rr])
-        self.draw_k[rr] += 1
-        life = self._pool_ppf(u, pool)
-        empty = ~self.alive[rr] & (self.vm_job[rr] == -1)
-        if not empty.any(axis=1).all():
-            raise RuntimeError("no reusable VM column; fleet invariant violated")
-        col = np.argmax(empty, axis=1)  # first reusable column
-        self.launch[rr, col] = self.now[rr]
-        self.death[rr, col] = self.now[rr] + life
-        self.dseq[rr, col] = self.evseq[rr]
-        self.evseq[rr] += 1
-        self.birth[rr, col] = self.births[rr]
-        self.births[rr] += 1
-        self.alive[rr, col] = True
-        self.vm_job[rr, col] = -1
-        self.vm_pool[rr, col] = pool
+        self._add_vm(rr, pool)
         self._schedule_pass(rr)  # add_node -> try_schedule
 
-    def _process_reaps(self, rr: np.ndarray, col: np.ndarray) -> None:
+    def _on_reap(self, rr: np.ndarray, col: np.ndarray) -> None:
         """An idle-retention timer fires: terminate if still warranted."""
         self.reap_time[rr, col] = np.inf
         self.reap_seq[rr, col] = _SEQ_INF
@@ -816,62 +510,7 @@ class _ServiceKernel(_LockstepKernel):
         qempty = ~np.isfinite(self.qkey[rr]).any(axis=1)
         rt, ct = rr[qempty], col[qempty]
         if rt.size:
-            self.vm_hours[rt] += self.now[rt] - self.launch[rt, ct]
-            self.pool_hours[rt, np.clip(self.vm_pool[rt, ct], 0, None)] += (
-                self.now[rt] - self.launch[rt, ct]
-            )
-            self.alive[rt, ct] = False
-            self.death[rt, ct] = np.inf
-            self.dseq[rt, ct] = _SEQ_INF
-
-    def run(self) -> int:
-        n_rounds = 0
-        init = np.arange(self.n)
-        if init.size and self.J:
-            # t = 0 submission: every submit stalls the empty pool, but
-            # only the first provisions (deficit = head width, capped).
-            k0 = np.full(self.n, min(int(self.width[0]), self.cfg.max_vms))
-            self._schedule_boots(init, k0)
-        active = np.flatnonzero(self.done_count < self.J) if self.n else init
-        while active.size:
-            _, pick = self._select_events(active)
-            S, J, B = self.S, self.J, self.B
-            is_death = pick < S
-            is_comp = (pick >= S) & (pick < S + J)
-            is_boot = (pick >= S + J) & (pick < S + J + B)
-            is_reap = pick >= S + J + B
-            rd = active[is_death]
-            rc = active[is_comp]
-            rb = active[is_boot]
-            rp = active[is_reap]
-            if self.obs is not None:
-                self.obs.inc("events.death", int(rd.size))
-                self.obs.inc("events.comp", int(rc.size))
-                self.obs.inc("events.boot", int(rb.size))
-                self.obs.inc("events.reap", int(rp.size))
-                self._sample_obs(active)
-            if rd.size:
-                self._process_deaths(rd, pick[is_death])
-            if rc.size:
-                self._process_completions(rc, pick[is_comp] - S)
-            if rb.size:
-                self._process_boots(rb, pick[is_boot] - S - J)
-            if rp.size:
-                self._process_reaps(rp, pick[is_reap] - S - J - B)
-            active = active[self.done_count[active] < self.J]
-            n_rounds += 1
-        if self.n:
-            # Bill workers still alive at the makespan; pending boots
-            # never fire (the run stops at the bag's last completion).
-            live = np.where(self.alive, self.makespan[:, None] - self.launch, 0.0)
-            self.vm_hours += live.sum(axis=1)
-            for p in range(self.nP):
-                self.pool_hours[:, p] += np.where(
-                    self.vm_pool == p, live, 0.0
-                ).sum(axis=1)
-            if self.cfg.run_master:
-                self.master_hours = self.makespan.copy()
-        return n_rounds
+            self._retire(rt, ct, self.now[rt][:, None])
 
 
 def simulate_service_vectorized(
@@ -894,20 +533,6 @@ def simulate_service_vectorized(
     :class:`repro.obs.MetricsRegistry`; counting sites are draw-neutral
     and gated so ``obs=None`` adds zero work.
     """
-    kernel = _ServiceKernel(dist, jobs, config, n_replications, rng, max_events, obs=obs)
-    n_rounds = kernel.run()
-    if obs is not None:
-        obs.gauge("rng.rows").set(kernel.table._filled)
-    return {
-        "makespan": kernel.makespan,
-        "wasted_hours": kernel.wasted,
-        "completed_jobs": kernel.done_count,
-        "n_job_failures": kernel.failures,
-        "n_preemptions": kernel.preemptions,
-        "vm_hours": kernel.vm_hours,
-        "pool_vm_hours": kernel.pool_hours,
-        "master_hours": kernel.master_hours,
-        "n_events": kernel.events,
-        "n_draws": kernel.draw_k,
-        "n_rounds": n_rounds,
-    }
+    return _ServiceKernel(
+        dist, jobs, config, n_replications, rng, max_events, obs=obs
+    ).run()

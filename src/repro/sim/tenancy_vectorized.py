@@ -62,7 +62,7 @@ from repro.distributions.base import LifetimeDistribution
 from repro.sim.cluster_vectorized import GangJob, check_fleet_config
 from repro.sim.placement import PoolSpec, make_allocator
 from repro.sim.service_vectorized import _ServiceKernel
-from repro.sim.vectorized import _RESIDUAL, _SEQ_INF
+from repro.sim.vectorized import _SEQ_INF
 from repro.utils.validation import check_nonnegative, check_positive
 
 __all__ = [
@@ -294,27 +294,28 @@ class _TenancyKernel(_ServiceKernel):
     """Array state and phase operations of the lockstep tenancy sweep.
 
     Inherits the service kernel's fleet/boot/reap/death machinery and
-    overrides queueing (arrival-gated static keys), estimation
-    (per-bag), stall handling (per-head estimate + elastic cap), and
-    the run loop (arrival events, per-row finish times).
+    adds arrival events, per-bag estimates, tenant affinity, the
+    elastic cap and the compact running slots.
     """
 
     _sweep_name = "tenancy"
     _budget_what = "traffic"
 
-    #: The service bindings minus the per-job completion channel (the
-    #: compact running slots replace it in the fused table) plus the
-    #: single-column arrival channel.
+    #: Backfill has no tenancy equivalent: inter-tenant policies own the
+    #: queue order.
+    backfill = False
+
+    #: The compact running slots replace the per-job completion columns
+    #: in the fused table.
     _ARENA_BINDINGS = {
         **_ServiceKernel._ARENA_BINDINGS,
-        "run": ("rtime", "rseq"),
-        "arr": ("arr_time", "arr_seq"),
+        "comp": ("rtime", "rseq"),
     }
 
     def _arena_channels(self) -> list[tuple[str, int]]:
         return [
             ("death", self.S),
-            ("run", self.S),
+            ("comp", self.S),
             ("boot", self.B),
             ("reap", self.S),
             ("arr", 1),
@@ -338,7 +339,7 @@ class _TenancyKernel(_ServiceKernel):
         super().__init__(dist, jobs, config, n_replications, rng, max_events, obs=obs)
         n, J = self.n, self.J
         # Per-job completion events live *outside* the fused table (the
-        # compact ``run`` channel mirrors the at-most-S pending ones),
+        # compact ``comp`` channel mirrors the at-most-S pending ones),
         # keeping per-round selection cost O(S) however long the
         # traffic is.
         self.ctime = np.full((n, J), np.inf)
@@ -366,14 +367,8 @@ class _TenancyKernel(_ServiceKernel):
             self.arr_time[:, 0] = self.atime[0]
             self.arr_seq[:, 0] = 0
         # Per-bag runtime estimates (each bag its own BagOfJobs).
-        W = config.estimate_window
-        first_work = np.array(
-            [self.work[lo] for lo in self.bag_lo], dtype=float
-        ) if self.K else np.zeros(0)
-        self.est = np.broadcast_to(first_work, (n, self.K)).copy()
-        self.buf = np.zeros((n, self.K, W))
-        self.buf_pos = np.zeros((n, self.K), dtype=np.int64)
-        self.buf_len = np.zeros((n, self.K), dtype=np.int64)
+        first_work = self.work[self.bag_lo] if self.K else np.zeros(0)
+        self._init_estimates(np.broadcast_to(first_work, (n, self.K)).copy())
         # Tenancy bookkeeping.  Per-tenant counters are *sparse*: only
         # tenants actually present in the traffic allocate a column, so
         # a sparse trace over a huge id space (e.g. SWF user IDs mapped
@@ -432,6 +427,23 @@ class _TenancyKernel(_ServiceKernel):
         ]
 
     # -- tenancy-aware policy plumbing -----------------------------------
+    def _t0(self, rows: np.ndarray) -> None:
+        """Nothing: bags arrive as events."""
+
+    def _finished(self, rows: np.ndarray) -> np.ndarray:
+        """All traffic has arrived and every admitted job is done."""
+        return (self.aptr[rows] == self.K) & (
+            self.done_count[rows] == self.admitted_total[rows]
+        )
+
+    def _raw_extras(self) -> dict[str, np.ndarray]:
+        return {
+            **super()._raw_extras(),
+            "admitted": self.admitted,
+            "start_times": self.first_start,
+            "finish_times": self.finish,
+        }
+
     def _fleet_cap(self, rr: np.ndarray) -> np.ndarray:
         """Provisioning cap per row: static, or elastic in active bags."""
         e = self.cfg.elastic_vms_per_bag
@@ -441,48 +453,16 @@ class _TenancyKernel(_ServiceKernel):
             self.cfg.max_vms, np.maximum(e * self.active_bags[rr], 1)
         )
 
-    def _suitability_for(self, rr: np.ndarray, jj: np.ndarray):
-        """(free, suitable) masks under the *head job's bag* estimate.
+    def _estimate_slot(self, rr: np.ndarray, jj: np.ndarray) -> tuple:
+        """Each job is judged, and recorded, under its own bag's estimate."""
+        return (rr, self.bag_of[jj])
 
-        Named apart from the base ``_suitability(rr)`` (whose row-wide
-        single-bag estimate is meaningless here): the per-job form is
-        the only one the tenancy kernel may use.
-        """
-        free = self.alive[rr] & (self.vm_job[rr] == -1)
-        return free, self._judge_free_rows(rr, free, self.est[rr, self.bag_of[jj]])
-
-    def _suitability(self, rr: np.ndarray):
-        raise NotImplementedError(
-            "tenancy suitability is per-job (bag estimates differ); "
-            "use _suitability_for"
-        )
-
-    def _stall_T(self, rr: np.ndarray, head: np.ndarray) -> np.ndarray:
-        """Boot-grace census judges against the head's bag estimate."""
-        return np.maximum(self.est[rr, self.bag_of[head]], 1e-6)
-
-    def _backfill_scan(self, rr: np.ndarray) -> None:
-        raise NotImplementedError(
-            "backfill has no tenancy equivalent; inter-tenant policies "
-            "own the queue order"
-        )
-
-    def _head_state(self, rr: np.ndarray):
-        qk = self.qkey[rr]
-        head = np.argmin(qk, axis=1)
-        has = qk[np.arange(rr.size), head] < np.inf
-        rr, head = rr[has], head[has]
-        if not rr.size:
-            return rr, head, None, None, None
-        free, suit = self._suitability_for(rr, head)
-        return rr, head, self.width[head], suit, free
-
-    def _start_job(self, rr: np.ndarray, jj: np.ndarray, suit: np.ndarray) -> None:
+    def _on_start(self, rr: np.ndarray, jj: np.ndarray, sel: np.ndarray) -> None:
         fresh = self.attempts[rr, jj] == 0
         rf = rr[fresh]
         if rf.size:
             self.first_start[rf, jj[fresh]] = self.now[rf]
-        super()._start_job(rr, jj, suit)
+        super()._on_start(rr, jj, sel)
 
     # -- tenant-affinity pool rankings ------------------------------------
     def _rank_cols(
@@ -505,36 +485,6 @@ class _TenancyKernel(_ServiceKernel):
             return None
         return self.rank_by_home[self.job_home[jj]]
 
-    def _schedule_pass(self, rr: np.ndarray) -> None:
-        """One ``try_schedule``: start heads by key order, stall once.
-
-        No backfill branch: inter-tenant policies own the queue order.
-        """
-        stuck = self._start_heads(rr)
-        if stuck is not None:
-            self._stall_actions(*stuck)
-
-    # _start_heads and _stall_actions are inherited: the head's per-bag
-    # estimate flows in through the _head_state override, the elastic
-    # cap through _fleet_cap — the terminate/bill/provision block stays
-    # one copy.
-
-    def _record_completion(self, rr: np.ndarray, jj: np.ndarray) -> None:
-        """The per-bag ``BagOfJobs.estimated_runtime`` sequential sum."""
-        W = self.cfg.estimate_window
-        b = self.bag_of[jj]
-        pos = self.buf_pos[rr, b]
-        self.buf[rr, b, pos] = self.work[jj]
-        self.buf_pos[rr, b] = (pos + 1) % W
-        self.buf_len[rr, b] = np.minimum(self.buf_len[rr, b] + 1, W)
-        k = self.buf_len[rr, b]
-        start = np.where(k < W, 0, self.buf_pos[rr, b])
-        total = np.zeros(rr.size)
-        for t in range(W):
-            vals = self.buf[rr, b, (start + t) % W]
-            total = np.where(t < k, total + vals, total)
-        self.est[rr, b] = total / k
-
     # -- compact running-slot maintenance --------------------------------
     # Both hooks run while ``vm_job`` still holds the job's gang (the
     # launch sites assign VMs before launching; the clear sites release
@@ -555,7 +505,7 @@ class _TenancyKernel(_ServiceKernel):
         self.rjob[rr, slot] = -1
 
     # -- event rounds ----------------------------------------------------
-    def _process_arrivals(self, rr: np.ndarray) -> None:
+    def _on_arr(self, rr: np.ndarray, _col: np.ndarray) -> None:
         """Bag arrival events: admission, key activation, submit stalls."""
         ks = self.aptr[rr]
         self.aptr[rr] += 1
@@ -587,95 +537,20 @@ class _TenancyKernel(_ServiceKernel):
                 self.qkey[ra, j] = key
                 self._schedule_pass(ra)
 
-    def _process_completions(self, rr: np.ndarray, jj: np.ndarray) -> None:
-        take = self.seg_take[rr, jj]
-        self.progress[rr, jj] = np.minimum(self.progress[rr, jj] + take, self.work[jj])
-        after = self.seg_after[rr, jj]
-        more = after > _RESIDUAL
-        rc, jc = rr[more], jj[more]
-        if rc.size:  # checkpoint written; next segment in the same instant
-            self._launch_segment(rc, jc, after[more])
-        rf, jf = rr[~more], jj[~more]
-        if rf.size:
-            self._clear_segment(rf, jf)
-            gang = self.vm_job[rf] == jf[:, None]
-            self.vm_job[rf] = np.where(gang, -1, self.vm_job[rf])
-            # Release order matches _job_completed: idle (reap) timers,
-            # then the bag-estimate update and tenant bookkeeping, then
-            # the scheduling pass.
-            qempty = ~np.isfinite(self.qkey[rf]).any(axis=1)
-            rq = rf[qempty]
-            if rq.size:
-                self._schedule_reaps(rq, gang[qempty])
-            self.stall_strikes[rf] = 0
-            self._record_completion(rf, jf)
-            self.finish[rf, jf] = self.now[rf]
-            self.done_count[rf] += 1
-            self.done_tenant[rf, self.job_tcol[jf]] += 1
-            b = self.bag_of[jf]
-            self.bag_done[rf, b] += 1
-            ended = self.bag_done[rf, b] == self.bag_size[b]
-            self.active_bags[rf[ended]] -= 1
-            self._schedule_pass(rf)
+    def _on_comp(self, rr: np.ndarray, slot: np.ndarray) -> None:
+        """A running slot's segment completes (slot -> job)."""
+        super()._on_comp(rr, self.rjob[rr, slot])
 
-    def run(self) -> int:
-        n_rounds = 0
-        active = (
-            np.flatnonzero(
-                (self.aptr < self.K)
-                | (self.done_count < self.admitted_total)
-            )
-            if self.n
-            else np.zeros(0, dtype=np.int64)
-        )
-        while active.size:
-            _, pick = self._select_events(active)
-            S, B = self.S, self.B
-            is_death = pick < S
-            is_comp = (pick >= S) & (pick < S + S)
-            is_boot = (pick >= S + S) & (pick < S + S + B)
-            is_reap = (pick >= S + S + B) & (pick < S + S + B + S)
-            is_arr = pick >= S + S + B + S
-            rd = active[is_death]
-            rc = active[is_comp]
-            rb = active[is_boot]
-            rp = active[is_reap]
-            ra = active[is_arr]
-            if self.obs is not None:
-                self.obs.inc("events.death", int(rd.size))
-                self.obs.inc("events.comp", int(rc.size))
-                self.obs.inc("events.boot", int(rb.size))
-                self.obs.inc("events.reap", int(rp.size))
-                self.obs.inc("events.arr", int(ra.size))
-                self._sample_obs(active)
-            if rd.size:
-                self._process_deaths(rd, pick[is_death])
-            if rc.size:
-                self._process_completions(rc, self.rjob[rc, pick[is_comp] - S])
-            if rb.size:
-                self._process_boots(rb, pick[is_boot] - S - S)
-            if rp.size:
-                self._process_reaps(rp, pick[is_reap] - S - S - B)
-            if ra.size:
-                self._process_arrivals(ra)
-            fin = (self.aptr[active] == self.K) & (
-                self.done_count[active] == self.admitted_total[active]
-            )
-            self.makespan[active[fin]] = self.now[active[fin]]
-            active = active[~fin]
-            n_rounds += 1
-        if self.n:
-            # Bill workers still alive at each row's finish time; pending
-            # boots and reaps never fire (the run stops with the traffic).
-            live = np.where(self.alive, self.makespan[:, None] - self.launch, 0.0)
-            self.vm_hours += live.sum(axis=1)
-            for p in range(self.nP):
-                self.pool_hours[:, p] += np.where(
-                    self.vm_pool == p, live, 0.0
-                ).sum(axis=1)
-            if self.cfg.run_master:
-                self.master_hours = self.makespan.copy()
-        return n_rounds
+    def _job_done(self, rr: np.ndarray, jj: np.ndarray, gang: np.ndarray) -> None:
+        # Tenant bookkeeping, then the service's release order (idle
+        # timers, estimate update, scheduling pass).
+        self.finish[rr, jj] = self.now[rr]
+        self.done_tenant[rr, self.job_tcol[jj]] += 1
+        b = self.bag_of[jj]
+        self.bag_done[rr, b] += 1
+        ended = self.bag_done[rr, b] == self.bag_size[b]
+        self.active_bags[rr[ended]] -= 1
+        super()._job_done(rr, jj, gang)
 
 
 def simulate_tenancy_vectorized(
@@ -699,25 +574,6 @@ def simulate_tenancy_vectorized(
     sites are draw-neutral and gated so ``obs=None`` adds zero work.
     """
     traffic = normalize_traffic(traffic)
-    kernel = _TenancyKernel(
+    return _TenancyKernel(
         dist, traffic, n_tenants, config, n_replications, rng, max_events, obs=obs
-    )
-    n_rounds = kernel.run()
-    if obs is not None:
-        obs.gauge("rng.rows").set(kernel.table._filled)
-    return {
-        "makespan": kernel.makespan,
-        "wasted_hours": kernel.wasted,
-        "completed_jobs": kernel.done_count,
-        "n_job_failures": kernel.failures,
-        "n_preemptions": kernel.preemptions,
-        "vm_hours": kernel.vm_hours,
-        "pool_vm_hours": kernel.pool_hours,
-        "master_hours": kernel.master_hours,
-        "n_events": kernel.events,
-        "n_draws": kernel.draw_k,
-        "admitted": kernel.admitted,
-        "start_times": kernel.first_start,
-        "finish_times": kernel.finish,
-        "n_rounds": n_rounds,
-    }
+    ).run()

@@ -12,10 +12,10 @@ replications.
 
 It is also the home of the structure-of-arrays core the event-driven
 lockstep kernels share: :class:`EventArena` (the fused pending-event
-table) and :class:`_LockstepKernel` (per-round event selection plus the
-segment/ordering primitives), consumed by the cluster, service, and
-tenancy kernels and — through ``_launch_segment`` — by the DP plan
-walker in :mod:`repro.sim.checkpoint_vectorized`.
+table) and :class:`_LockstepKernel` (the fleet core: state, the round
+loop and every fleet mechanism the cluster, service and tenancy
+kernels have in common), which also drives the DP plan walker in
+:mod:`repro.sim.checkpoint_vectorized` through ``_launch_segment``.
 
 Draw protocol (the determinism contract shared with the event backend)
 -----------------------------------------------------------------------
@@ -47,6 +47,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.distributions.base import LifetimeDistribution
+from repro.policies.scheduling import ModelReusePolicy
+from repro.sim.placement import make_allocator, resolve_pools
 
 __all__ = [
     "conditional_quantiles",
@@ -95,10 +97,6 @@ class EventArena:
         """(times, seqs) slice views of one channel's column span."""
         lo, hi = self.spans[name]
         return self.times[:, lo:hi], self.seqs[:, lo:hi]
-
-    def offset(self, name: str) -> int:
-        """First fused-table column of ``name`` (for pick dispatch)."""
-        return self.spans[name][0]
 
     def select(self, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Next event per active row: ``(tmin, pick)``.
@@ -303,43 +301,55 @@ def simulate_job_attempts_vectorized(
 
 
 class _LockstepKernel:
-    """Structure-of-arrays core shared by the lockstep event kernels.
+    """The fleet core of the lockstep controller kernels.
 
-    The cluster, service, and tenancy kernels (and, through
-    :meth:`_launch_segment`, the DP plan walker in
-    :mod:`repro.sim.checkpoint_vectorized`) all advance N replications
-    together over event rounds.  This base class owns the parts that
-    *are* the cross-backend contract, in one place:
+    The cluster, service and tenancy kernels advance N replications of
+    one preemptible fleet together over event rounds; the DP plan
+    walker in :mod:`repro.sim.checkpoint_vectorized` rides along through
+    :meth:`_launch_segment`.  The kernels differ in policy, not
+    plumbing, so this base owns every mechanism they share, once:
 
-    * the fused :class:`EventArena` (one ``(n, C)`` time table + one
-      sequence table; subclasses declare channels via
-      ``_arena_channels()`` and get attribute-bound slice views via
-      ``_ARENA_BINDINGS``);
-    * :meth:`_select_events` — per-round earliest-event selection with
-      ``(time, insertion sequence)`` tie-breaking, exactly the event
-      harness's heap order, plus the event-budget and deadlock guards;
-    * :meth:`_launch_segment` / :meth:`_clear_segment` — segment
-      durations and finality exactly as ``JobExecution`` clips them
-      (``checkpoint="dp"`` mode delegates the take to the walker);
-    * :meth:`_oldest` — VM ordering by ``(launch, birth)`` exactly as
-      ``free_nodes()`` sorts.
+    * **fleet state** (``__init__``): the resolved pool catalog,
+      allocator ranks, one :class:`ModelReusePolicy` per pool, the
+      round-uniform table, the fused :class:`EventArena` (channel views
+      bound through ``_ARENA_BINDINGS``), VM columns, queue and job
+      state, and the outcome arrays;
+    * **the round loop** (:meth:`run`): :meth:`_select_events` — the
+      event harness's ``(time, insertion sequence)`` heap order plus
+      the event-budget and deadlock guards — then one dispatch per
+      arena channel to ``_on_<channel>(rows, column)``, counted as
+      ``events.<channel>``; after the loop, live-VM billing and the raw
+      result dict;
+    * **pool helpers and boots**: :meth:`_boot_pool`, :meth:`_pool_ppf`,
+      :meth:`_rank_cols` and the new-VM column fill :meth:`_add_vm`;
+    * **Eq. 8**: the per-pool pure loop :meth:`_eq8` and
+      :meth:`_judge`, which judges only rows that hold a free VM;
+    * **scheduling**: :meth:`_head_state`, :meth:`_start_heads`,
+      :meth:`_start_job` (gang selection in :meth:`_oldest` order),
+      :meth:`_schedule_pass` and :meth:`_backfill_scan`;
+    * **VM and job exits**: :meth:`_retire` (billing), :meth:`_on_death`
+      with the gang :meth:`_abort`, the segment walk
+      (:meth:`_launch_segment` / :meth:`_clear_segment`, clipped exactly
+      as ``JobExecution`` clips) and :meth:`_on_comp`;
+    * the trailing-mean runtime estimate (:meth:`_record_completion`).
 
-    Subclasses provide the array state (``now``, ``evseq``, ``launch``,
-    ``birth``, ``sstart``, ``ctime``, ``cseq``, ``seg_take``,
-    ``seg_after``, ``events``, ``max_events``, ``S``), a ``cfg`` with
-    ``checkpoint_interval`` / ``checkpoint_cost``, and ``dp`` — a
-    :class:`~repro.sim.checkpoint_vectorized.DPPlanWalker` in
-    ``checkpoint="dp"`` mode, else ``None``.
+    A kernel keeps only its policy, through these hooks:
+    ``_arena_channels`` (its event channels and their ``_on_*``
+    handlers), ``_head_length`` (the job length Eq. 8 judges the queue
+    head against), ``_backfill_suit``, ``_stall_actions``,
+    ``_on_start``, ``_vm_lost``, ``_job_done``, ``_t0``, ``_finished``
+    and ``_raw_extras``.
     """
 
     #: arena channel name -> (times attribute, seqs attribute).  A
-    #: subclass binds only the channels its ``_arena_channels()``
+    #: kernel binds only the channels its ``_arena_channels()``
     #: declares; extra map entries are inert.
     _ARENA_BINDINGS: dict[str, tuple[str, str]] = {
         "death": ("death", "dseq"),
         "comp": ("ctime", "cseq"),
         "boot": ("btime", "bseq"),
         "reap": ("reap_time", "reap_seq"),
+        "arr": ("arr_time", "arr_seq"),
     }
 
     #: Sweep name and workload noun used in the guard error messages.
@@ -353,6 +363,152 @@ class _LockstepKernel:
     #: the on/off byte-identity tests).
     obs = None
 
+    def __init__(
+        self,
+        dist: LifetimeDistribution,
+        jobs,
+        config,
+        n_replications: int,
+        rng: np.random.Generator,
+        max_events: int,
+        obs,
+        *,
+        fleet_cap: int,
+        n_cols: int,
+        criterion: str,
+        provision_latency: float = 0.0,
+    ):
+        # The same lazy row table the event paths use, so both backends
+        # consume the generator identically by construction.
+        from repro.sim.backend import _RoundUniforms
+        from repro.sim.checkpoint_vectorized import walker_from_config
+
+        self.cfg = config
+        self.obs = obs
+        self.n = n = int(n_replications)
+        self.max_events = int(max_events)
+        # Pool catalog + allocator ranking (shared with the event
+        # oracle); per-pool boot latency defaults to provision_latency.
+        self.pools = resolve_pools(
+            config.pools,
+            dist=dist,
+            n_slots=fleet_cap,
+            provision_latency=provision_latency,
+        )
+        self.nP = len(self.pools)
+        rank = make_allocator(config.allocator).rank_for(self.pools)
+        self.rank = np.asarray(rank, dtype=np.int64)
+        self.rank_of = np.empty(self.nP, dtype=np.int64)
+        self.rank_of[self.rank] = np.arange(self.nP)
+        self.pool_sizes = np.asarray([p.size for p in self.pools], dtype=np.int64)
+        self.latency = np.asarray([p.boot_latency for p in self.pools])
+        # One policy per pool: each VM is judged under its own law.
+        self.policies = (
+            [ModelReusePolicy(p.dist, criterion=criterion) for p in self.pools]
+            if config.use_reuse_policy
+            else None
+        )
+        self.table = _RoundUniforms(rng, n)
+
+        S, J = n_cols, len(jobs)
+        self.S, self.J = S, J
+        self.width = np.asarray([j.width for j in jobs], dtype=np.int64)
+        self.work = np.asarray([j.work_hours for j in jobs], dtype=float)
+        self.dp = walker_from_config(dist, config, n, self.work)
+
+        self.now = np.zeros(n)
+        self.evseq = np.zeros(n, dtype=np.int64)
+        self.draw_k = np.zeros(n, dtype=np.int64)
+        self.births = np.zeros(n, dtype=np.int64)
+        self.events = np.zeros(n, dtype=np.int64)
+        # Fused event table: the channels are attribute views (see
+        # EventArena; dead columns hold death == inf).
+        self._init_arena(n)
+        # VM columns (storage slots; ordering is (pool rank, launch,
+        # birth) — (launch, birth) alone with a single pool).
+        self.alive = np.zeros((n, S), dtype=bool)
+        self.launch = np.zeros((n, S))
+        self.birth = np.full((n, S), -1, dtype=np.int64)
+        self.vm_job = np.full((n, S), -1, dtype=np.int64)
+        self.vm_pool = np.full((n, S), -1, dtype=np.int64)
+        # Boots in flight per pool (always zero where boots are instant).
+        self.provisioning_pool = np.zeros((n, self.nP), dtype=np.int64)
+        # Job state.
+        self.qkey = np.broadcast_to(np.arange(J, dtype=float), (n, J)).copy()
+        self.head_key = np.full(n, -1.0)  # next requeue-at-head key
+        self.progress = np.zeros((n, J))
+        self.sstart = np.zeros((n, J))
+        self.seg_take = np.zeros((n, J))
+        self.seg_after = np.zeros((n, J))
+        # Outcomes.
+        self.makespan = np.zeros(n)
+        self.wasted = np.zeros(n)
+        self.done_count = np.zeros(n, dtype=np.int64)
+        self.failures = np.zeros(n, dtype=np.int64)
+        self.preemptions = np.zeros(n, dtype=np.int64)
+        self.vm_hours = np.zeros(n)
+        self.pool_hours = np.zeros((n, self.nP))
+
+    # -- the round loop --------------------------------------------------
+    def run(self) -> dict[str, np.ndarray | int]:
+        """Advance every replication to its end; the raw result dict."""
+        rows = np.arange(self.n)
+        if rows.size:
+            self._t0(rows)
+        active = rows[~self._finished(rows)]
+        channels = [
+            (name, lo, hi, getattr(self, f"_on_{name}"))
+            for name, (lo, hi) in self._ev.spans.items()
+        ]
+        n_rounds = 0
+        while active.size:
+            _, pick = self._select_events(active)
+            hits = [(pick >= lo) & (pick < hi) for _, lo, hi, _ in channels]
+            if self.obs is not None:
+                for (name, *_), hit in zip(channels, hits):
+                    self.obs.inc(f"events.{name}", int(hit.sum()))
+                self._sample_obs(active)
+            for (_, lo, _, handle), hit in zip(channels, hits):
+                rows = active[hit]
+                if rows.size:
+                    handle(rows, pick[hit] - lo)
+            done = self._finished(active)
+            self.makespan[active[done]] = self.now[active[done]]
+            active = active[~done]
+            n_rounds += 1
+        # Bill VMs still alive at each replication's end; pending boots
+        # and reaps never fire.
+        live = np.where(self.alive, self.makespan[:, None] - self.launch, 0.0)
+        self.vm_hours += live.sum(axis=1)
+        for p in range(self.nP):
+            self.pool_hours[:, p] += np.where(self.vm_pool == p, live, 0.0).sum(axis=1)
+        if self.obs is not None:
+            self.obs.gauge("rng.rows").set(self.table._filled)
+        return {
+            "makespan": self.makespan,
+            "wasted_hours": self.wasted,
+            "completed_jobs": self.done_count,
+            "n_job_failures": self.failures,
+            "n_preemptions": self.preemptions,
+            "vm_hours": self.vm_hours,
+            "pool_vm_hours": self.pool_hours,
+            "n_events": self.events,
+            "n_draws": self.draw_k,
+            **self._raw_extras(),
+            "n_rounds": n_rounds,
+        }
+
+    def _t0(self, rows: np.ndarray) -> None:
+        """What happens at ``t = 0``, before the first round."""
+
+    def _finished(self, rows: np.ndarray) -> np.ndarray:
+        """Which of ``rows`` are done (their makespan is ``now``)."""
+        return self.done_count[rows] == self.J
+
+    def _raw_extras(self) -> dict[str, np.ndarray]:
+        """Kernel-specific outcome arrays of the raw result dict."""
+        return {}
+
     def _sample_obs(self, active: np.ndarray) -> None:
         """Round-start diagnostic sampling: queue depth, pool occupancy.
 
@@ -360,7 +516,7 @@ class _LockstepKernel:
         queue insertions and boots instead), so these gauges are
         diagnostics, not part of the cross-backend exactness contract.
         """
-        if self.obs is None or not active.size:
+        if not active.size:
             return
         self.obs.gauge("queue.peak_depth").set(
             int(np.isfinite(self.qkey[active]).sum(axis=1).max())
@@ -402,6 +558,298 @@ class _LockstepKernel:
         self.events[active] += 1
         return tmin, pick
 
+    # -- pools and boots -------------------------------------------------
+    def _boot_pool(
+        self, rr: np.ndarray, rank_rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        """First ranked pool with headroom (alive + in-flight boots count).
+
+        ``rank_rows`` — optional per-row ``(R, nP)`` preference order
+        (the tenancy kernel's tenant affinity); ``None`` uses the
+        allocator's static ranking.  A pure function of pre-draw state,
+        so both backends agree on it before the lifetime uniform is
+        consumed.
+        """
+        if self.nP == 1:
+            return np.zeros(rr.size, dtype=np.int64)
+        occ = self.provisioning_pool[rr].copy()
+        vp = self.vm_pool[rr]
+        al = self.alive[rr]
+        for p in range(self.nP):
+            occ[:, p] += (al & (vp == p)).sum(axis=1)
+        headroom = self.pool_sizes[None, :] - occ
+        if rank_rows is None:
+            ranked = headroom[:, self.rank]
+            if not (ranked > 0).any(axis=1).all():
+                raise RuntimeError("no pool headroom; fleet invariant violated")
+            return self.rank[np.argmax(ranked > 0, axis=1)]
+        ranked = np.take_along_axis(headroom, rank_rows, axis=1)
+        if not (ranked > 0).any(axis=1).all():
+            raise RuntimeError("no pool headroom; fleet invariant violated")
+        first = np.argmax(ranked > 0, axis=1)
+        return rank_rows[np.arange(rr.size), first]
+
+    def _pool_ppf(self, u: np.ndarray, pool: np.ndarray) -> np.ndarray:
+        """Map boot uniforms through each boot's pool's inverse CDF."""
+        if self.nP == 1:
+            return np.asarray(self.pools[0].dist.ppf(u), dtype=float)
+        life = np.empty(u.shape)
+        for p, spec in enumerate(self.pools):
+            m = pool == p
+            if m.any():
+                life[m] = np.asarray(spec.dist.ppf(u[m]), dtype=float)
+        return life
+
+    def _rank_cols(
+        self, rr: np.ndarray, jj: np.ndarray | None = None
+    ) -> np.ndarray | None:
+        """Allocator rank of each VM column (``None`` with one pool).
+
+        ``jj`` is the job being placed; the static ranking is
+        job-independent, the tenancy kernel refines it per tenant.
+        """
+        if self.nP == 1:
+            return None
+        vp = self.vm_pool[rr]
+        return np.where(
+            vp >= 0, self.rank_of[np.clip(vp, 0, None)], np.iinfo(np.int64).max
+        )
+
+    def _add_vm(self, rr: np.ndarray, pool: np.ndarray) -> None:
+        """One fresh VM joins each row in ``pool``: draw its lifetime,
+        fill the first empty column, schedule its death."""
+        u = self.table.gather(rr, self.draw_k[rr])
+        self.draw_k[rr] += 1
+        life = self._pool_ppf(u, pool)
+        empty = ~self.alive[rr] & (self.vm_job[rr] == -1)
+        if not empty.any(axis=1).all():
+            raise RuntimeError("no reusable VM column; fleet invariant violated")
+        col = np.argmax(empty, axis=1)  # first reusable column
+        self.launch[rr, col] = self.now[rr]
+        self.death[rr, col] = self.now[rr] + life
+        self.dseq[rr, col] = self.evseq[rr]
+        self.evseq[rr] += 1
+        self.birth[rr, col] = self.births[rr]
+        self.births[rr] += 1
+        self.alive[rr, col] = True
+        self.vm_job[rr, col] = -1
+        self.vm_pool[rr, col] = pool
+
+    def _retire(self, rr: np.ndarray, col: np.ndarray, end) -> None:
+        """Bill VMs up to ``end`` and remove them from the fleet.
+
+        ``col`` is one column per row or an ``(R, S)`` mask (a stall
+        may terminate several VMs of a row at once); ``end`` broadcasts
+        against ``(R, S)``.  A row's retired hours are summed before
+        they are added to its totals.
+        """
+        gone = col if col.dtype == bool else np.arange(self.S)[None, :] == col[:, None]
+        hours = np.where(gone, end - self.launch[rr], 0.0)
+        total = hours.sum(axis=1)
+        self.vm_hours[rr] += total
+        if self.nP == 1:
+            self.pool_hours[rr, 0] += total
+        else:
+            vp = self.vm_pool[rr]
+            for p in range(self.nP):
+                self.pool_hours[rr, p] += np.where(
+                    gone & (vp == p), hours, 0.0
+                ).sum(axis=1)
+        self.alive[rr] &= ~gone
+        self.death[rr] = np.where(gone, np.inf, self.death[rr])
+        self.dseq[rr] = np.where(gone, _SEQ_INF, self.dseq[rr])
+
+    # -- Eq. 8 -----------------------------------------------------------
+    def _ages(self, rr: np.ndarray) -> np.ndarray:
+        return np.maximum(self.now[rr][:, None] - self.launch[rr], 0.0)
+
+    def _eq8(self, T, ages, mask: np.ndarray, vp: np.ndarray) -> np.ndarray:
+        """``mask & Eq. 8(T, age)``, each VM judged under its pool's law.
+
+        ``vp`` is the pool of each ``mask`` cell; a pool with no masked
+        VM costs no call.
+        """
+        if self.nP == 1:
+            return mask & self.policies[0].decide_pairs(T, ages)
+        out = np.zeros(np.broadcast_shapes(mask.shape, T.shape, ages.shape), dtype=bool)
+        for p, pol in enumerate(self.policies):
+            m = mask & (vp == p)
+            if m.any():
+                out |= m & pol.decide_pairs(T, ages)
+        return out
+
+    def _judge(self, rr: np.ndarray, free: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """The suitable mask for per-row job lengths ``T``, judged only
+        on rows with a free VM — a row without one is all ``False``
+        whatever the verdicts, so it costs no Eq. 8 cells."""
+        has = free.any(axis=1)
+        suit = free.copy()
+        if has.any():
+            r = rr[has]
+            T = np.maximum(T[has], 1e-6)[:, None]
+            suit[has] = self._verdict(r, T, self._ages(r), free[has])
+        return suit
+
+    def _verdict(self, rr, T, ages, free) -> np.ndarray:
+        """Suitability of the ``free`` VMs: pure Eq. 8 here; the service
+        kernel adds its boot grace."""
+        return self._eq8(T, ages, free, self.vm_pool[rr])
+
+    def _head_length(self, rr: np.ndarray, head: np.ndarray) -> np.ndarray:
+        """The job length Eq. 8 judges the queue head against."""
+        raise NotImplementedError
+
+    # -- scheduling ------------------------------------------------------
+    @property
+    def backfill(self) -> bool:
+        return self.cfg.backfill
+
+    def _head_state(self, rr: np.ndarray):
+        """Queue head + suitability per row; drops queue-less rows.
+
+        Returns ``(rr, head, width, suit, free)`` restricted to rows
+        with a non-empty queue.
+        """
+        qk = self.qkey[rr]
+        head = np.argmin(qk, axis=1)
+        has = qk[np.arange(rr.size), head] < np.inf
+        rr, head = rr[has], head[has]
+        if not rr.size:
+            return rr, head, None, None, None
+        free = self.alive[rr] & (self.vm_job[rr] == -1)
+        if self.policies is None:
+            suit = free
+        else:
+            suit = self._judge(rr, free, self._head_length(rr, head))
+        return rr, head, self.width[head], suit, free
+
+    def _schedule_pass(self, rr: np.ndarray) -> None:
+        """One ``try_schedule`` invocation: head starts, stall, backfill."""
+        stuck = self._start_heads(rr)
+        if stuck is not None:
+            self._stall_actions(*stuck)
+            if self.backfill:
+                self._backfill_scan(stuck[0])
+
+    def _start_heads(self, rr: np.ndarray):
+        """Start queue heads until each row's head is stuck or its queue
+        is empty.
+
+        Returns the stuck rows' judgment ``(rr, head, width, suit,
+        free)`` — the exact state ``_stall_actions`` acts on, since no
+        later start touches a stuck row — or ``None`` when no row
+        stalled.  Each head is judged by Eq. 8 once per pass.
+        """
+        stuck: list[tuple] = []
+        while rr.size:
+            rr, head, w, suit, free = self._head_state(rr)
+            if not rr.size:
+                break
+            ok = suit.sum(axis=1) >= w
+            if not ok.all():
+                bad = ~ok
+                stuck.append((rr[bad], head[bad], w[bad], suit[bad], free[bad]))
+                rr, head, suit = rr[ok], head[ok], suit[ok]
+                if not rr.size:
+                    break
+            self._start_job(rr, head, suit)
+            # Loop: the next queue head may start in the same instant.
+        if not stuck:
+            return None
+        return tuple(np.concatenate(part) for part in zip(*stuck))
+
+    def _stall_actions(self, rr, head, w, suit, free) -> None:
+        """What a stuck queue head triggers within a scheduling pass."""
+
+    def _start_job(self, rr: np.ndarray, jj: np.ndarray, suit: np.ndarray) -> None:
+        """Start job ``jj`` on its ``width`` oldest suitable VMs per row
+        (pool rank first, then launch/birth age)."""
+        w = self.width[jj]
+        order = self._oldest(suit, rr, self._rank_cols(rr, jj))
+        pos = np.arange(self.S)[None, :] < w[:, None]
+        sel = np.zeros((rr.size, self.S), dtype=bool)
+        np.put_along_axis(sel, order, pos, axis=1)
+        self._on_start(rr, jj, sel)
+        self.vm_job[rr] = np.where(sel, jj[:, None], self.vm_job[rr])
+        self.qkey[rr, jj] = np.inf
+        left = np.maximum(self.work[jj] - self.progress[rr, jj], 0.0)
+        if self.dp is not None:
+            # Re-plan the attempt at the gang's oldest selected VM age
+            # (the ClusterManager._start planner argument).
+            ages = np.where(
+                sel, self.now[rr][:, None] - self.launch[rr], -np.inf
+            ).max(axis=1)
+            self.dp.begin(rr, jj, left, np.maximum(ages, 0.0))
+        self._launch_segment(rr, jj, left)
+
+    def _on_start(self, rr: np.ndarray, jj: np.ndarray, sel: np.ndarray) -> None:
+        """Policy bookkeeping as job ``jj`` takes the VMs ``sel``."""
+
+    def _backfill_scan(self, rr: np.ndarray) -> None:
+        """Start jobs behind a stuck head, in queue order (unreserved).
+
+        Mirrors the ``ClusterManager.try_schedule`` scan past the stuck
+        head: each iteration starts, per row, the lowest-queue-key job
+        whose suitability count covers its width.  Picking the minimum
+        startable key repeatedly is equivalent to the event path's
+        single forward scan because started jobs only consume VMs — a
+        job unstartable when the scan would have reached it stays
+        unstartable afterwards.  The stuck head is excluded by the same
+        width test that stalled it.
+        """
+        while rr.size:
+            free = self.alive[rr] & (self.vm_job[rr] == -1)
+            suit = self._backfill_suit(rr, free)
+            queued = np.isfinite(self.qkey[rr])
+            startable = queued & (suit.sum(axis=2) >= self.width[None, :])
+            has = startable.any(axis=1)
+            rr, startable, suit = rr[has], startable[has], suit[has]
+            if not rr.size:
+                return
+            jc = np.argmin(np.where(startable, self.qkey[rr], np.inf), axis=1)
+            # A row-uniform mask has one job row, shared by every job.
+            jrow = jc if suit.shape[1] > 1 else 0
+            self._start_job(rr, jc, suit[np.arange(rr.size), jrow])
+
+    def _backfill_suit(self, rr: np.ndarray, free: np.ndarray) -> np.ndarray:
+        """Suitable VMs per queued job, ``(R, J, S)`` — or ``(R, 1, S)``
+        when every job shares one mask."""
+        raise NotImplementedError
+
+    # -- VM and job exits --------------------------------------------------
+    def _on_death(self, rr: np.ndarray, col: np.ndarray) -> np.ndarray:
+        """VM ``col`` of each row dies: bill it, let the policy react,
+        abort the gang it served.  Returns the rows that lost a job."""
+        jd = self.vm_job[rr, col]
+        self._retire(rr, col, self.death[rr])
+        self.preemptions[rr] += 1
+        self._vm_lost(rr, col)
+        busy = jd >= 0
+        rb, jb = rr[busy], jd[busy]
+        if rb.size:
+            self._abort(rb, jb)
+            self._schedule_pass(rb)
+        return rb
+
+    def _vm_lost(self, rr: np.ndarray, col: np.ndarray) -> None:
+        """The policy's reaction to a VM death, before its gang aborts."""
+
+    def _abort(self, rr: np.ndarray, jj: np.ndarray) -> None:
+        """Gang abort: waste the current segment, requeue the job at the
+        head, release the surviving gang members."""
+        self.wasted[rr] += self.now[rr] - self.sstart[rr, jj]
+        self.failures[rr] += 1
+        self._clear_segment(rr, jj)
+        self.qkey[rr, jj] = self.head_key[rr]
+        self.head_key[rr] -= 1.0
+        self._release(rr, jj)
+
+    def _release(self, rr: np.ndarray, jj: np.ndarray) -> np.ndarray:
+        """Free job ``jj``'s gang; returns the released columns."""
+        gang = self.vm_job[rr] == jj[:, None]
+        self.vm_job[rr] = np.where(gang, -1, self.vm_job[rr])
+        return gang
+
     def _launch_segment(self, rr: np.ndarray, jj: np.ndarray, left: np.ndarray) -> None:
         """Schedule the next segment of ``left`` remaining attempt hours."""
         if self.dp is not None:
@@ -429,6 +877,63 @@ class _LockstepKernel:
         self.ctime[rr, jj] = np.inf
         self.cseq[rr, jj] = _SEQ_INF
 
+    def _on_comp(self, rr: np.ndarray, jj: np.ndarray) -> None:
+        """Job ``jj``'s segment completes: credit its work, then launch
+        the next segment or finish the job."""
+        take = self.seg_take[rr, jj]
+        self.progress[rr, jj] = np.minimum(self.progress[rr, jj] + take, self.work[jj])
+        after = self.seg_after[rr, jj]
+        more = after > _RESIDUAL
+        rc, jc = rr[more], jj[more]
+        if rc.size:  # checkpoint written; next segment in the same instant
+            self._launch_segment(rc, jc, after[more])
+        rf, jf = rr[~more], jj[~more]
+        if rf.size:
+            self._clear_segment(rf, jf)
+            gang = self._release(rf, jf)
+            self.done_count[rf] += 1
+            self._job_done(rf, jf, gang)
+
+    def _job_done(self, rr: np.ndarray, jj: np.ndarray, gang: np.ndarray) -> None:
+        """The policy's reaction to job ``jj`` finishing on ``gang``."""
+        raise NotImplementedError
+
+    # -- the bag runtime estimate -----------------------------------------
+    def _init_estimates(self, first: np.ndarray) -> None:
+        """Trailing-window estimate state seeded with ``first`` (one
+        estimate per row, or per row and bag)."""
+        W = self.cfg.estimate_window
+        self.est = first
+        self.buf = np.zeros(first.shape + (W,))
+        self.buf_pos = np.zeros(first.shape, dtype=np.int64)
+        self.buf_len = np.zeros(first.shape, dtype=np.int64)
+
+    def _estimate_slot(self, rr: np.ndarray, jj: np.ndarray) -> tuple:
+        """Index of job ``jj``'s estimate in ``est`` (one per row here)."""
+        return (rr,)
+
+    def _record_completion(self, rr: np.ndarray, jj: np.ndarray) -> None:
+        """Push the job's declared hours into its estimate.
+
+        Reproduces ``BagOfJobs.estimated_runtime`` bit for bit: the
+        trailing ``estimate_window`` values are summed sequentially in
+        completion order, then divided by the window length.
+        """
+        W = self.cfg.estimate_window
+        at = self._estimate_slot(rr, jj)
+        pos = self.buf_pos[at]
+        self.buf[at + (pos,)] = self.work[jj]
+        self.buf_pos[at] = (pos + 1) % W
+        self.buf_len[at] = np.minimum(self.buf_len[at] + 1, W)
+        k = self.buf_len[at]
+        start = np.where(k < W, 0, self.buf_pos[at])
+        total = np.zeros(rr.size)
+        for t in range(W):
+            vals = self.buf[at + ((start + t) % W,)]
+            total = np.where(t < k, total + vals, total)
+        self.est[at] = total / k
+
+    # -- ordering --------------------------------------------------------
     def _oldest(
         self, mask: np.ndarray, rr: np.ndarray, rank: np.ndarray | None = None
     ) -> np.ndarray:

@@ -127,6 +127,33 @@ class TestCatalog:
         with pytest.raises(ValueError, match="pools"):
             config_cls(**{size_field: 4}, pools=POOLS_4, checkpoint="dp")
 
+    @pytest.mark.parametrize("backend", ["vectorized", "event"])
+    def test_cluster_rejects_boot_latency_before_any_draw(self, backend):
+        """The cluster boots instantly: a pool latency would be ignored,
+        so it is refused up front instead."""
+        pools = (
+            PoolSpec("slow", 2, dist=FLAKY, boot_latency=0.3),
+            PoolSpec("instant", 2, dist=STABLE),
+        )
+        with pytest.raises(ValueError, match="boot_latency"):
+            ClusterConfig(pool_size=4, pools=pools)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="boot_latency"):
+            run_cluster_replications(
+                FLAKY, JOBS, n_replications=2, seed=rng, backend=backend,
+                pool_size=4, pools=pools,
+            )
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("latency", [None, 0.0])
+    def test_cluster_accepts_instant_boot_latency(self, latency):
+        pools = (
+            PoolSpec("a", 2, dist=FLAKY, boot_latency=latency),
+            PoolSpec("b", 2, dist=STABLE, boot_latency=latency),
+        )
+        ClusterConfig(pool_size=4, pools=pools)
+
     def test_unknown_allocator_rejected(self):
         from repro.sim.cluster_vectorized import ClusterConfig
 
