@@ -19,9 +19,7 @@ from repro.service.costs import CostModel, on_demand_baseline_cost
 from repro.service.database import MetadataStore
 from repro.service.evaluate import (
     PolicyEvaluation,
-    ServiceEvaluation,
     ServicePolicyEvaluator,
-    TenantEvaluation,
     sweep_configurations,
 )
 from repro.service.metrics import ServiceMetrics
@@ -36,12 +34,10 @@ __all__ = [
     "ProvisioningLivelockError",
     "ServiceConfig",
     "ServiceReport",
-    "TenantEvaluation",
     "CostModel",
     "on_demand_baseline_cost",
     "MetadataStore",
     "PolicyEvaluation",
-    "ServiceEvaluation",
     "ServicePolicyEvaluator",
     "ServiceMetrics",
     "sweep_configurations",

@@ -55,6 +55,7 @@ Usage::
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -68,26 +69,11 @@ from repro.policies.scheduling import (
     job_failure_probability_batch,
 )
 from repro.service.controller import ServiceConfig
-from repro.sim.backend import (
-    ClusterOutcomes,
-    ReplicationOutcomes,
-    ServiceOutcomes,
-    TenantOutcomes,
-    run_cluster_replications,
-    run_replications,
-    run_service_replications,
-    run_tenant_replications,
-)
-from repro.sim.cluster_vectorized import ClusterConfig, GangJob
-from repro.sim.service_vectorized import ServiceBatchConfig
-from repro.sim.tenancy_vectorized import TenancyConfig
+from repro.sim.backend import ReplicationOutcomes, run_replications
 from repro.utils.validation import check_nonnegative, check_positive
 
 __all__ = [
     "PolicyEvaluation",
-    "ClusterEvaluation",
-    "ServiceEvaluation",
-    "TenantEvaluation",
     "ServicePolicyEvaluator",
     "sweep_configurations",
 ]
@@ -191,212 +177,6 @@ class PolicyEvaluation:
             f"(closed form {self.expected_failure_fraction:.3f}), "
             f"E[makespan] {self.mean_makespan:.3f} h, "
             f"reused {100 * self.reuse_fraction:.0f}% of placements"
-        )
-
-
-@dataclass(frozen=True)
-class ClusterEvaluation:
-    """Scored outcome of one cluster-scale (bag + configuration) sweep.
-
-    Where :class:`PolicyEvaluation` scores a single job placement per
-    replication, this scores the *whole service scenario*: the bag's
-    gang jobs competing for the configuration's VM pool, per
-    replication, through
-    :func:`repro.sim.backend.run_cluster_replications`.
-    """
-
-    config: ServiceConfig
-    cluster_config: ClusterConfig
-    jobs: tuple[GangJob, ...]
-    outcomes: ClusterOutcomes
-    backend: str
-
-    @property
-    def n_replications(self) -> int:
-        return self.outcomes.n_replications
-
-    @property
-    def mean_makespan(self) -> float:
-        return self.outcomes.mean_makespan
-
-    @property
-    def mean_wasted_hours(self) -> float:
-        return self.outcomes.mean_wasted_hours
-
-    @property
-    def failure_fraction(self) -> float:
-        """Fraction of cluster runs that saw at least one gang abort."""
-        return self.outcomes.failure_fraction
-
-    @property
-    def total_work_hours(self) -> float:
-        """Ideal VM-hours of the bag (work x gang width, summed)."""
-        return float(sum(j.work_hours * j.width for j in self.jobs))
-
-    def mean_cost_per_job(self, price_per_hour: float) -> float:
-        """Mean billed cluster-run cost per bag member."""
-        return self.outcomes.mean_cost(price_per_hour) / len(self.jobs)
-
-    def cost_reduction_factor(
-        self, preemptible_rate: float, on_demand_rate: float
-    ) -> float:
-        """Ideal on-demand bag cost over the configuration's mean cost."""
-        check_positive("preemptible_rate", preemptible_rate)
-        check_nonnegative("on_demand_rate", on_demand_rate)
-        spend = self.outcomes.mean_cost(preemptible_rate)
-        baseline = self.total_work_hours * on_demand_rate
-        return baseline / spend if spend > 0 else float("inf")
-
-    def summary(self) -> str:
-        flags = (
-            f"reuse={'on' if self.config.use_reuse_policy else 'off'} "
-            f"ckpt={'dp' if self.cluster_config.checkpoint == 'dp' else 'on' if self.cluster_config.checkpoint_interval else 'off'} "
-            f"spare={'on' if self.cluster_config.hot_spare else 'off'} "
-            f"pool={self.cluster_config.pool_size}"
-        )
-        return (
-            f"[{flags}] {len(self.jobs)} jobs x n={self.n_replications} "
-            f"({self.backend}): E[makespan] {self.mean_makespan:.3f} h, "
-            f"E[waste] {self.mean_wasted_hours:.3f} h, "
-            f"P(any abort) {self.failure_fraction:.3f}"
-        )
-
-
-@dataclass(frozen=True)
-class ServiceEvaluation:
-    """Scored outcome of one full-service (bag + configuration) sweep.
-
-    The highest-fidelity evaluation mode: each replication is one
-    complete :class:`BatchComputingService` run — cold start, lazy
-    deficit provisioning under ``provision_latency``, Eq. 8 filtering
-    on the evolving bag runtime estimate, hot-spare retention timers,
-    master billing — through
-    :func:`repro.sim.backend.run_service_replications`, so the
-    ``ServiceReport`` quantities (cost-reduction factor, on-demand
-    baseline, preemptions, makespan) come with Monte-Carlo error bars.
-    """
-
-    config: ServiceConfig
-    batch_config: ServiceBatchConfig
-    jobs: tuple[GangJob, ...]
-    outcomes: ServiceOutcomes
-    backend: str
-
-    @property
-    def n_replications(self) -> int:
-        return self.outcomes.n_replications
-
-    @property
-    def mean_makespan(self) -> float:
-        return self.outcomes.mean_makespan
-
-    @property
-    def mean_wasted_hours(self) -> float:
-        return self.outcomes.mean_wasted_hours
-
-    @property
-    def failure_fraction(self) -> float:
-        """Fraction of service runs that saw at least one gang abort."""
-        return self.outcomes.failure_fraction
-
-    @property
-    def total_work_hours(self) -> float:
-        """Ideal VM-hours of the bag (work x gang width, summed)."""
-        return self.outcomes.total_work_hours
-
-    def mean_cost_per_job(
-        self, preemptible_rate: float, master_rate: float = 0.0
-    ) -> float:
-        """Mean billed service-run cost per bag member."""
-        return self.outcomes.mean_cost(preemptible_rate, master_rate) / len(self.jobs)
-
-    def cost_reduction_factor(
-        self,
-        preemptible_rate: float,
-        on_demand_rate: float,
-        master_rate: float = 0.0,
-    ) -> float:
-        """Mean Fig. 9a metric: on-demand baseline over mean billed cost."""
-        check_positive("preemptible_rate", preemptible_rate)
-        check_nonnegative("on_demand_rate", on_demand_rate)
-        spend = self.outcomes.mean_cost(preemptible_rate, master_rate)
-        baseline = self.outcomes.on_demand_baseline(on_demand_rate)
-        return baseline / spend if spend > 0 else float("inf")
-
-    def summary(self) -> str:
-        flags = (
-            f"reuse={'on' if self.batch_config.use_reuse_policy else 'off'} "
-            f"ckpt={'dp' if self.batch_config.checkpoint == 'dp' else 'on' if self.batch_config.checkpoint_interval else 'off'} "
-            f"lat={self.batch_config.provision_latency:g}h "
-            f"fleet={self.batch_config.max_vms}"
-        )
-        return (
-            f"[{flags}] {len(self.jobs)} jobs x n={self.n_replications} "
-            f"({self.backend}): E[makespan] {self.mean_makespan:.3f} h, "
-            f"E[waste] {self.mean_wasted_hours:.3f} h, "
-            f"P(any abort) {self.failure_fraction:.3f}"
-        )
-
-
-@dataclass(frozen=True)
-class TenantEvaluation:
-    """Scored outcome of one multi-tenant traffic sweep.
-
-    The traffic-serving evaluation mode: each replication replays the
-    whole traffic trace through the full controller semantics plus the
-    tenancy layer (inter-tenant scheduling, admission, elastic fleet
-    sizing) via :func:`repro.sim.backend.run_tenant_replications`; see
-    :func:`repro.traffic.metrics.tenant_report` for the per-tenant SLO
-    aggregation of :attr:`outcomes`.
-    """
-
-    config: ServiceConfig
-    tenancy_config: TenancyConfig
-    outcomes: TenantOutcomes
-    backend: str
-
-    @property
-    def n_replications(self) -> int:
-        return self.outcomes.n_replications
-
-    @property
-    def mean_makespan(self) -> float:
-        return self.outcomes.mean_makespan
-
-    @property
-    def mean_wait_hours(self) -> float:
-        """Mean queueing delay over all admitted jobs and replications."""
-        return self.outcomes.mean_wait_hours
-
-    @property
-    def admitted_fraction(self) -> float:
-        return float(self.outcomes.admitted_fraction.mean())
-
-    def cost_reduction_factor(
-        self,
-        preemptible_rate: float,
-        on_demand_rate: float,
-        master_rate: float = 0.0,
-    ) -> float:
-        """Mean Fig. 9a metric over the admitted workload."""
-        crf = self.outcomes.cost_reduction_factor(
-            preemptible_rate, on_demand_rate, master_rate
-        )
-        return float(crf.mean()) if crf.size else float("inf")
-
-    def summary(self) -> str:
-        cfg = self.tenancy_config
-        flags = (
-            f"sched={cfg.scheduling} "
-            f"cap={'-' if cfg.admission_cap is None else cfg.admission_cap} "
-            f"elastic={'-' if cfg.elastic_vms_per_bag is None else cfg.elastic_vms_per_bag} "
-            f"fleet={cfg.max_vms}"
-        )
-        return (
-            f"[{flags}] {self.outcomes.n_jobs} jobs x "
-            f"{self.outcomes.n_tenants} tenants x n={self.n_replications} "
-            f"({self.backend}): E[wait] {self.mean_wait_hours:.3f} h, "
-            f"admitted {100 * self.admitted_fraction:.0f}%"
         )
 
 
@@ -528,260 +308,6 @@ class ServicePolicyEvaluator:
         )
 
 
-    @staticmethod
-    def _as_bag(jobs) -> tuple[GangJob, ...]:
-        """Normalise a jobs argument (``GangJob`` s or tuples) to a bag."""
-        return tuple(j if isinstance(j, GangJob) else GangJob(*j) for j in jobs)
-
-    def cluster_config(
-        self,
-        *,
-        pool_size: int | None = None,
-        hot_spare: bool = True,
-        checkpoint_interval: float | None = None,
-    ) -> ClusterConfig:
-        """Map the service configuration onto the cluster kernel's knobs.
-
-        ``pool_size`` defaults to the service's ``max_vms``.  When
-        checkpointing is on and no interval is given, the kernel runs
-        the controller's own per-attempt DP plans via
-        ``checkpoint="dp"`` (the batched plan walker), so the mapping
-        needs no fixed-interval stand-in.
-        """
-        dp = checkpoint_interval is None and self.config.use_checkpointing
-        return ClusterConfig(
-            pool_size=pool_size or self.config.max_vms,
-            use_reuse_policy=self.config.use_reuse_policy,
-            reuse_criterion="conditional",
-            hot_spare=hot_spare,
-            checkpoint="dp" if dp else "interval",
-            checkpoint_interval=checkpoint_interval,
-            checkpoint_cost=self.config.checkpoint_cost,
-            checkpoint_step=self.config.checkpoint_step,
-        )
-
-    def service_batch_config(
-        self,
-        *,
-        checkpoint_interval: float | None = None,
-    ) -> ServiceBatchConfig:
-        """Map the service configuration onto the service kernel's knobs.
-
-        The mapping is one-to-one (the kernel models the controller's
-        own semantics), checkpointing included: when
-        ``use_checkpointing`` is on and no fixed interval resolves, the
-        kernel runs the controller's per-attempt DP plans via
-        ``checkpoint="dp"`` — see
-        :meth:`ServiceBatchConfig.from_service_config`.
-        """
-        return ServiceBatchConfig.from_service_config(
-            self.config, checkpoint_interval=checkpoint_interval
-        )
-
-    def evaluate_service(
-        self,
-        jobs,
-        *,
-        n_replications: int = 256,
-        seed: int | np.random.Generator | None = 0,
-        backend: str = "vectorized",
-        checkpoint_interval: float | None = None,
-        max_events: int = 1_000_000,
-    ) -> ServiceEvaluation:
-        """Score the configuration over full end-to-end service runs.
-
-        ``jobs`` is the bag — :class:`GangJob` entries or
-        ``(work_hours, width)`` tuples.  Each replication replays the
-        complete Fig. 3 controller loop (cold start, deficit
-        provisioning with boot latency, bag-estimate Eq. 8 filtering,
-        hot-spare retention, master billing, optional backfill) through
-        the backend-selection API; the event path drives the real
-        :class:`BatchComputingService` and is the oracle (same seed,
-        identical outcomes within 1e-9).  This supersedes
-        :meth:`evaluate_cluster` whenever controller effects —
-        provisioning latency, master cost, estimation feedback — are
-        part of the question.
-        """
-        bag = self._as_bag(jobs)
-        batch_cfg = self.service_batch_config(checkpoint_interval=checkpoint_interval)
-        outcomes = run_service_replications(
-            self.dist,
-            bag,
-            config=batch_cfg,
-            n_replications=n_replications,
-            seed=seed,
-            backend=backend,
-            max_events=max_events,
-        )
-        return ServiceEvaluation(
-            config=self.config,
-            batch_config=batch_cfg,
-            jobs=bag,
-            outcomes=outcomes,
-            backend=backend,
-        )
-
-    def evaluate_cluster(
-        self,
-        jobs,
-        *,
-        n_replications: int = 256,
-        seed: int | np.random.Generator | None = 0,
-        backend: str = "vectorized",
-        pool_size: int | None = None,
-        hot_spare: bool = True,
-        checkpoint_interval: float | None = None,
-        max_events: int = 1_000_000,
-    ) -> ClusterEvaluation:
-        """Score the configuration over whole-cluster bag replications.
-
-        ``jobs`` is the bag — :class:`GangJob` entries or
-        ``(work_hours, width)`` tuples.  Each replication simulates the
-        full Section 5 scenario (FIFO gang queue, Eq. 8 reuse
-        refreshes, hot-spare substitution, checkpoint restarts) through
-        the backend-selection API, so a policy grid scores at vectorized
-        speed with the event-driven :class:`ClusterManager` path as the
-        oracle (same seed, identical outcomes within 1e-9).
-
-        This scores a *pre-booted pool* (the cluster kernel's model);
-        for the controller's own cold-start semantics — deficit
-        provisioning, boot latency, master billing, bag-estimate
-        feedback — use :meth:`evaluate_service`.
-        """
-        bag = self._as_bag(jobs)
-        cluster_cfg = self.cluster_config(
-            pool_size=pool_size,
-            hot_spare=hot_spare,
-            checkpoint_interval=checkpoint_interval,
-        )
-        outcomes = run_cluster_replications(
-            self.dist,
-            bag,
-            config=cluster_cfg,
-            n_replications=n_replications,
-            seed=seed,
-            backend=backend,
-            max_events=max_events,
-        )
-        return ClusterEvaluation(
-            config=self.config,
-            cluster_config=cluster_cfg,
-            jobs=bag,
-            outcomes=outcomes,
-            backend=backend,
-        )
-
-    def tenancy_config(
-        self,
-        *,
-        scheduling: str = "fifo",
-        tenant_weights=None,
-        admission_cap: int | None = None,
-        elastic_vms_per_bag: int | None = None,
-        checkpoint_interval: float | None = None,
-        estimate_window: int = 16,
-    ) -> TenancyConfig:
-        """Map the service configuration onto the tenancy kernel's knobs.
-
-        The service-kernel subset follows
-        :meth:`service_batch_config` (including the ``checkpoint="dp"``
-        mapping when ``use_checkpointing`` is on with no fixed
-        interval); the tenancy-specific knobs — scheduling policy, weights, admission
-        cap, elastic sizing — are passed through.  ``backfill`` has no
-        tenancy equivalent (inter-tenant policies own the queue order)
-        and is rejected, exactly like the live
-        :class:`~repro.traffic.multitenant.MultiTenantService`.
-        """
-        if self.config.backfill:
-            raise ValueError(
-                "backfill is incompatible with inter-tenant scheduling; "
-                "pick a tenancy scheduling policy instead"
-            )
-        interval = (
-            checkpoint_interval
-            if checkpoint_interval is not None
-            else self.config.checkpoint_interval
-        )
-        dp = interval is None and self.config.use_checkpointing
-        return TenancyConfig(
-            max_vms=self.config.max_vms,
-            use_reuse_policy=self.config.use_reuse_policy,
-            hot_spare_hours=self.config.hot_spare_hours,
-            provision_latency=self.config.provision_latency,
-            run_master=self.config.run_master,
-            checkpoint="dp" if dp else "interval",
-            checkpoint_interval=interval,
-            checkpoint_cost=self.config.checkpoint_cost,
-            checkpoint_step=self.config.checkpoint_step,
-            estimate_window=estimate_window,
-            max_attempts_per_job=self.config.max_attempts_per_job,
-            livelock_threshold=self.config.livelock_threshold,
-            scheduling=scheduling,
-            tenant_weights=tenant_weights,
-            admission_cap=admission_cap,
-            elastic_vms_per_bag=elastic_vms_per_bag,
-        )
-
-    def evaluate_tenants(
-        self,
-        traffic,
-        *,
-        n_replications: int = 256,
-        seed: int | np.random.Generator | None = 0,
-        backend: str = "vectorized",
-        scheduling: str = "fifo",
-        tenant_weights=None,
-        admission_cap: int | None = None,
-        elastic_vms_per_bag: int | None = None,
-        checkpoint_interval: float | None = None,
-        estimate_window: int = 16,
-        max_events: int = 1_000_000,
-        chunk_size: int | None = None,
-    ) -> TenantEvaluation:
-        """Score the configuration over multi-tenant traffic runs.
-
-        ``traffic`` is a sequence of
-        :class:`~repro.sim.tenancy_vectorized.BagSubmission` s (or
-        ``(tenant, time, jobs)`` triples), typically one
-        :func:`repro.traffic.arrivals.sample_traffic` draw or an SWF
-        import (:func:`repro.traces.swf.swf_traffic`).  Each
-        replication serves the whole trace on a shared fleet under the
-        chosen inter-tenant scheduling policy; the event path drives
-        the real :class:`~repro.traffic.multitenant.MultiTenantService`
-        and is the oracle (same seed, identical outcomes within 1e-9).
-        ``chunk_size`` streams the batch in bounded-memory chunks (see
-        :func:`repro.sim.backend.run_tenant_replications`) — set it for
-        production-scale traces (tens of thousands of jobs).  This is
-        the top of the evaluation-mode ladder: use it whenever the
-        question involves *traffic* — contention across tenants,
-        admission, fairness — rather than a single bag.
-        """
-        cfg = self.tenancy_config(
-            scheduling=scheduling,
-            tenant_weights=tenant_weights,
-            admission_cap=admission_cap,
-            elastic_vms_per_bag=elastic_vms_per_bag,
-            checkpoint_interval=checkpoint_interval,
-            estimate_window=estimate_window,
-        )
-        outcomes = run_tenant_replications(
-            self.dist,
-            traffic,
-            config=cfg,
-            n_replications=n_replications,
-            seed=seed,
-            backend=backend,
-            max_events=max_events,
-            chunk_size=chunk_size,
-        )
-        return TenantEvaluation(
-            config=self.config,
-            tenancy_config=cfg,
-            outcomes=outcomes,
-            backend=backend,
-        )
-
-
 def sweep_configurations(
     dist: LifetimeDistribution,
     configs: Sequence[ServiceConfig],
@@ -802,7 +328,18 @@ def sweep_configurations(
     with each configuration's window (``2 * hot_spare_hours`` unless
     ``max_idle_hours`` pins them), so across different windows it is the
     gap quantiles, not the hours, that are paired.
+
+    ``seed`` must therefore be an integer: a shared ``Generator`` (or
+    ``None``) would hand each configuration different draws, so it is
+    rejected with :class:`TypeError` before any draw.
     """
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise TypeError(
+            "sweep_configurations pairs configurations by re-seeding a fresh "
+            f"generator for each one, so seed must be an int, got {seed!r}"
+        ) from None
     return [
         ServicePolicyEvaluator(dist, cfg).evaluate(
             job_length,

@@ -10,11 +10,10 @@ that contract:
   at once; MPI semantics — losing any node aborts the attempt),
 * pluggable *node selection* and *checkpoint planning* hooks, through
   which the service controller injects the Section 4 policies,
-* a scheduler/allocator plugin pair (:mod:`repro.sim.placement`,
-  following accasim's ``scheduler_class`` / ``allocator_class`` split):
-  the scheduler fixes the queue discipline (FIFO / keyed / backfill),
-  the allocator fixes the *placement order* of free nodes over a
-  heterogeneous pool catalog,
+* a queue discipline (FIFO, optionally with backfill or a priority
+  key) and an allocator plugin (:mod:`repro.sim.placement`) that fixes
+  the *placement order* of free nodes over a heterogeneous pool
+  catalog,
 * completion / failure callbacks (the "Slurm call-backs" of Fig. 3).
 """
 
@@ -26,16 +25,7 @@ from typing import Callable, Sequence
 
 from repro.sim.engine import Simulator
 from repro.sim.events import EventLog, JobCompleted, JobFailed, JobStarted
-from repro.sim.placement import (
-    Allocator,
-    BackfillScheduler,
-    FifoScheduler,
-    KeyedScheduler,
-    PoolSpec,
-    Scheduler,
-    make_allocator,
-    make_scheduler,
-)
+from repro.sim.placement import Allocator, PoolSpec, make_allocator
 from repro.sim.runner import JobExecution
 from repro.sim.vm import SimVM
 from repro.utils.validation import check_positive
@@ -124,14 +114,15 @@ class ClusterManager:
     head job (regardless of how many nodes are free — a selector that
     returns an empty list stalls the head just like ``None``).
 
-    Placement plugins
-    -----------------
-    The queue discipline and the free-node placement order are plugins
-    (:mod:`repro.sim.placement`).  ``scheduler`` subsumes the legacy
-    ``backfill`` flag and :meth:`enable_keyed_queue` (both kept as
-    compat shims); ``allocator`` + ``pools`` order idle nodes by the
-    allocator's pool ranking before age, so gangs grab (and stalled
-    queues evict) nodes pool-rank-first over a heterogeneous fleet.
+    Queue discipline and placement
+    ------------------------------
+    ``backfill`` lets the pass scan past a stuck head, and
+    :meth:`enable_keyed_queue` switches the queue to priority-key order.
+    The free-node placement order is a plugin
+    (:mod:`repro.sim.placement`): ``allocator`` + ``pools`` order idle
+    nodes by the allocator's pool ranking before age, so gangs grab (and
+    stalled queues evict) nodes pool-rank-first over a heterogeneous
+    fleet.
     """
 
     #: Optional :class:`repro.obs.MetricsRegistry`.  ``None`` (the class
@@ -148,7 +139,6 @@ class ClusterManager:
         checkpoint_planner: CheckpointPlanner = _no_checkpoints,
         checkpoint_cost: float = 1.0 / 60.0,
         backfill: bool = False,
-        scheduler: Scheduler | str | None = None,
         allocator: Allocator | str | None = None,
         pools: "Sequence[PoolSpec] | None" = None,
     ):
@@ -157,15 +147,10 @@ class ClusterManager:
         self.node_selector = node_selector
         self.checkpoint_planner = checkpoint_planner
         self.checkpoint_cost = checkpoint_cost
-        if scheduler is None:
-            scheduler = BackfillScheduler() if backfill else FifoScheduler()
-        else:
-            scheduler = make_scheduler(scheduler)
-        self.scheduler = scheduler
-        self.backfill = scheduler.backfill
+        self.backfill = bool(backfill)
         self.allocator = make_allocator(allocator)
         self.pools = None if pools is None else tuple(pools)
-        self._keyed = scheduler.keyed
+        self._keyed = False
         self._requeue_key = -1.0
         self._submit_seq = 0
         self._free: dict[int, SimVM] = {}
@@ -236,13 +221,9 @@ class ClusterManager:
         front end (:mod:`repro.traffic.multitenant`) uses this to run
         its inter-tenant scheduling policies through the unmodified
         gang-scheduling core.  Must be enabled while the queue is empty.
-
-        Compat shim for constructing with
-        ``scheduler=KeyedScheduler()`` (the plugin spelling).
         """
         if self._queue:
             raise RuntimeError("cannot enable keyed queueing on a non-empty queue")
-        self.scheduler = KeyedScheduler()
         self._keyed = True
 
     def submit(self, job: SimJob) -> None:

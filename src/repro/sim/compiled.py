@@ -5,17 +5,14 @@ replaces the NumPy round loop of
 :func:`repro.sim.vectorized.simulate_plan_vectorized` with a scalar
 per-replication walk executed by a *compiled provider*:
 
-``"numba"``
-    :func:`numba.njit` over the pure-Python walk below (soft dependency
-    — import-guarded, skipped when numba is absent).
 ``"cc"``
     The same walk translated to C, built once with the system C compiler
     (``cc -O2 -fPIC -shared -ffp-contract=off``) into an in-repo build
     cache and loaded through :mod:`ctypes`.  No third-party dependency.
 ``"python"``
-    The un-jitted walk itself — slow, but always available; the
+    The pure-Python walk itself — slow, but always available; the
     compiled-equivalence tests use it so the *logic* is exercised even
-    where neither toolchain exists.
+    where no C compiler exists.
 
 Bit-compatibility contract
 --------------------------
@@ -73,7 +70,7 @@ COMPILED_BACKEND = "vectorized-compiled"
 
 #: Provider preference order for automatic resolution ("python" is
 #: opt-in only — it exists for logic tests, not for speed).
-COMPILED_PROVIDERS = ("numba", "cc")
+COMPILED_PROVIDERS = ("cc",)
 
 #: Rows per uniform block in block mode (doubling up to the cap).
 _BLOCK_START = 8
@@ -87,7 +84,7 @@ _TILE_ROWS = 64
 
 
 # ----------------------------------------------------------------------
-# The walk, in pure Python (njit-compatible: arrays, scalars, loops)
+# The walk, in pure Python (the reference the C source translates)
 # ----------------------------------------------------------------------
 
 def _interp1_py(x, xp, fp, gl, hint, slopes, M):
@@ -137,144 +134,130 @@ def _bisect_right_py(a, lo, hi, v):
     return lo
 
 
-def _build_find_seg(bisect_right):
-    """Bind the guessed segment lookup over a (possibly jitted) bisection."""
+def _find_seg_py(a, k, K1, v, inv_d):
+    """Largest j in [k, K1) with a[j] <= v (requires a[k] <= v).
 
-    def find_seg(a, k, K1, v, inv_d):
-        # Largest j in [k, K1) with a[j] <= v (requires a[k] <= v) —
-        # equal to np.searchsorted(a, v, side="right") - 1 for the
-        # walk's inputs.  Starts from an average-duration guess
-        # (inv_d is K / a[K]), scans locally, and falls back to
-        # bisection after a few steps so skewed schedules stay
-        # O(log K).
-        j = k + int((v - a[k]) * inv_d)
-        if j > K1 - 1:
-            j = K1 - 1
-        if j < k:
-            j = k
-        if a[j] <= v:
-            t = 0
-            while j + 1 < K1 and a[j + 1] <= v:
-                j += 1
-                t += 1
-                if t == 8:
-                    return bisect_right(a, j + 1, K1, v) - 1
-            return j
+    Equal to ``np.searchsorted(a, v, side="right") - 1`` for the walk's
+    inputs.  Starts from an average-duration guess (``inv_d`` is
+    ``K / a[K]``), scans locally, and falls back to bisection after a
+    few steps so skewed schedules stay O(log K).
+    """
+    j = k + int((v - a[k]) * inv_d)
+    if j > K1 - 1:
+        j = K1 - 1
+    if j < k:
+        j = k
+    if a[j] <= v:
         t = 0
-        while a[j] > v:
-            j -= 1
+        while j + 1 < K1 and a[j + 1] <= v:
+            j += 1
             t += 1
             if t == 8:
-                return bisect_right(a, k + 1, j + 1, v) - 1
+                return _bisect_right_py(a, j + 1, K1, v) - 1
         return j
+    t = 0
+    while a[j] > v:
+        j -= 1
+        t += 1
+        if t == 8:
+            return _bisect_right_py(a, k + 1, j + 1, v) - 1
+    return j
 
-    return find_seg
 
-
-_find_seg_py = _build_find_seg(_bisect_right_py)
-
-
-def _build_walk(interp1, find_seg):
-    """Bind the walk over (possibly jitted) helpers; see module docstring.
+def _walk_block_py(
+    u,            # (rows, n) uniforms (or pre-mapped lifetimes)
+    rows,
+    n,
+    qx,           # ppf grid quantiles (unused when pre_mapped)
+    qt,           # ppf grid lifetimes
+    gl,           # grid length
+    hint,         # (M+1,) bucket brackets for interp1
+    slopes,       # (gl-1,) precomputed interp slopes
+    M,            # bucket count
+    pre_mapped,   # 1: u rows already hold lifetimes
+    Fs,           # (n,) F(start_age)
+    age0,         # (n,) first-VM ages
+    cum_w,        # (K+1,) cumulative wall-clock of the plan
+    cum_s,        # (K+1,) cumulative durable work
+    K,
+    inv_d,        # K / cum_w[K]: segment-guess scale for find_seg
+    restart_latency,
+    global_round,  # round index of u[0]
+    seg_idx,
+    makespan,
+    wasted,
+    completed,
+    restarts,
+    active,       # (n,) uint8
+    n_active,
+):
+    """The walk, one block of rounds; the ``"python"`` provider.
 
     The loop is replication-major (rounds inner): each replication's
-    accumulators live in locals/registers across its rounds and are
-    stored back once.  Replications are mutually independent and each
-    one's per-round accumulation order is unchanged, so outcomes are
+    accumulators live in locals across its rounds and are stored back
+    once.  Replications are mutually independent and each one's
+    per-round accumulation order is unchanged, so outcomes are
     identical to the round-major NumPy kernel.
     """
-
-    def walk_block(
-        u,            # (rows, n) uniforms (or pre-mapped lifetimes)
-        rows,
-        n,
-        qx,           # ppf grid quantiles (unused when pre_mapped)
-        qt,           # ppf grid lifetimes
-        gl,           # grid length
-        hint,         # (M+1,) bucket brackets for interp1
-        slopes,       # (gl-1,) precomputed interp slopes
-        M,            # bucket count
-        pre_mapped,   # 1: u rows already hold lifetimes
-        Fs,           # (n,) F(start_age)
-        age0,         # (n,) first-VM ages
-        cum_w,        # (K+1,) cumulative wall-clock of the plan
-        cum_s,        # (K+1,) cumulative durable work
-        K,
-        inv_d,        # K / cum_w[K]: segment-guess scale for find_seg
-        restart_latency,
-        global_round,  # round index of u[0]
-        seg_idx,
-        makespan,
-        wasted,
-        completed,
-        restarts,
-        active,       # (n,) uint8
-        n_active,
-    ):
-        # rows_done = number of rounds the round-major kernel would have
-        # executed over this block: the max round any replication
-        # consumed (rows, for one that is still active at block end).
-        rows_done = 0
-        for i in range(n):
-            if active[i] == 0:
-                continue
-            k = seg_idx[i]
-            mk = makespan[i]
-            wa = wasted[i]
-            co = completed[i]
-            rs = restarts[i]
-            finished = False
-            for r in range(rows):
-                uv = u[r, i]
-                if global_round + r == 0:
-                    if pre_mapped == 1:
-                        death = uv
-                    else:
-                        fs = Fs[i]
-                        q = fs + uv * (1.0 - fs)
-                        if q > 1.0:
-                            q = 1.0
-                        death = interp1(q, qx, qt, gl, hint, slopes, M)
-                    age = age0[i]
+    # rows_done = number of rounds the round-major kernel would have
+    # executed over this block: the max round any replication
+    # consumed (rows, for one that is still active at block end).
+    rows_done = 0
+    for i in range(n):
+        if active[i] == 0:
+            continue
+        k = seg_idx[i]
+        mk = makespan[i]
+        wa = wasted[i]
+        co = completed[i]
+        rs = restarts[i]
+        finished = False
+        for r in range(rows):
+            uv = u[r, i]
+            if global_round + r == 0:
+                if pre_mapped == 1:
+                    death = uv
                 else:
-                    if pre_mapped == 1:
-                        death = uv
-                    else:
-                        death = interp1(uv, qx, qt, gl, hint, slopes, M)
-                    age = 0.0
-                budget = death - age
-                if budget < 0.0:
-                    budget = 0.0
-                j = find_seg(cum_w, k, K + 1, cum_w[k] + budget, inv_d)
-                if j >= K:
-                    mk += cum_w[K] - cum_w[k]
-                    co += cum_s[K] - cum_s[k]
-                    k = K
-                    active[i] = 0
-                    n_active -= 1
-                    finished = True
-                    if r + 1 > rows_done:
-                        rows_done = r + 1
-                    break
-                mk += budget + restart_latency
-                co += cum_s[j] - cum_s[k]
-                wa += budget - (cum_w[j] - cum_w[k])
-                rs += 1
-                k = j
-            if not finished:
-                rows_done = rows
-            seg_idx[i] = k
-            makespan[i] = mk
-            wasted[i] = wa
-            completed[i] = co
-            restarts[i] = rs
-        return n_active, rows_done
+                    fs = Fs[i]
+                    q = fs + uv * (1.0 - fs)
+                    if q > 1.0:
+                        q = 1.0
+                    death = _interp1_py(q, qx, qt, gl, hint, slopes, M)
+                age = age0[i]
+            else:
+                if pre_mapped == 1:
+                    death = uv
+                else:
+                    death = _interp1_py(uv, qx, qt, gl, hint, slopes, M)
+                age = 0.0
+            budget = death - age
+            if budget < 0.0:
+                budget = 0.0
+            j = _find_seg_py(cum_w, k, K + 1, cum_w[k] + budget, inv_d)
+            if j >= K:
+                mk += cum_w[K] - cum_w[k]
+                co += cum_s[K] - cum_s[k]
+                k = K
+                active[i] = 0
+                n_active -= 1
+                finished = True
+                if r + 1 > rows_done:
+                    rows_done = r + 1
+                break
+            mk += budget + restart_latency
+            co += cum_s[j] - cum_s[k]
+            wa += budget - (cum_w[j] - cum_w[k])
+            rs += 1
+            k = j
+        if not finished:
+            rows_done = rows
+        seg_idx[i] = k
+        makespan[i] = mk
+        wasted[i] = wa
+        completed[i] = co
+        restarts[i] = rs
+    return n_active, rows_done
 
-    return walk_block
-
-
-#: The always-available reference implementation ("python" provider).
-_walk_block_py = _build_walk(_interp1_py, _find_seg_py)
 
 #: Buckets in the interpolation hint table (query domain is [0, 1]).
 #: 8x the default grid size, so most buckets pin the segment without any
@@ -459,16 +442,6 @@ _I = ctypes.POINTER(ctypes.c_int64)
 _B = ctypes.POINTER(ctypes.c_uint8)
 
 
-def _load_numba():
-    """Jit the pure-Python walk with numba (raises ImportError if absent)."""
-    import numba
-
-    interp1 = numba.njit(cache=False)(_interp1_py)
-    bisect_right = numba.njit(cache=False)(_bisect_right_py)
-    find_seg = numba.njit(cache=False)(_build_find_seg(bisect_right))
-    return numba.njit(cache=False)(_build_walk(interp1, find_seg))
-
-
 def _build_dir() -> Path:
     """In-repo build cache for the cc provider's shared object."""
     return Path(__file__).resolve().parents[3] / "build" / "compiled"
@@ -545,7 +518,6 @@ def _load_python():
 
 #: Loader registry — tests monkeypatch entries to simulate absence.
 _LOADERS = {
-    "numba": _load_numba,
     "cc": _load_cc,
     "python": _load_python,
 }
@@ -581,8 +553,8 @@ def resolve_walk(provider: str | None = None):
         if provider not in _PROVIDER_CACHE:
             _PROVIDER_CACHE[provider] = _LOADERS[provider]()
         return provider, _PROVIDER_CACHE[provider]
-    # Auto resolution is cached too, so a missing first-choice provider
-    # (e.g. no numba) is not re-imported on every simulate call.
+    # Auto resolution is cached too, so a failed provider is not
+    # re-loaded on every simulate call.
     auto = _PROVIDER_CACHE.get("__auto__")
     if auto is not None:
         return auto
@@ -598,9 +570,9 @@ def resolve_walk(provider: str | None = None):
     detail = "; ".join(failures)
     raise ImportError(
         "backend='vectorized-compiled' needs an optional compiled "
-        f"provider and none is available ({detail}). Install numba "
-        "(`pip install numba`) or make a C compiler (`cc`) available — "
-        "or use backend='vectorized', which needs neither."
+        f"provider and none is available ({detail}). Make a C compiler "
+        "(`cc`, or one named by $CC) available, or use "
+        "backend='vectorized', which needs none."
     )
 
 

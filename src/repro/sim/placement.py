@@ -1,11 +1,12 @@
-"""Heterogeneous spot pools and the placement plugin layer.
+"""Heterogeneous spot pools and the allocator plugin layer.
 
 The paper's economics hinge on spot price/reliability trade-offs, yet a
 single sweep historically assumed one VM type with one lifetime law and
-one price.  This module adds the missing **pool axis** plus the plugin
-pair that decomposes placement, following the accasim split the ROADMAP
-names as the model (``scheduler_class`` picks *who* runs,
-``allocator_class`` picks *where*):
+one price.  This module adds the missing **pool axis** plus the
+allocator plugins that pick *where* a job runs (accasim's
+``allocator_class``); *who* runs next is the queue discipline on
+:class:`~repro.sim.cluster.ClusterManager` (``backfill=`` and
+``enable_keyed_queue()``):
 
 ``PoolSpec``
     One homogeneous slice of the fleet: a name, a slot count, and the
@@ -13,12 +14,6 @@ names as the model (``scheduler_class`` picks *who* runs,
     catalog of pools whose sizes partition the fleet cap; both backends
     consume the same resolved catalog, so pool indices (and hence the
     round-protocol draw mapping) agree exactly.
-
-``Scheduler`` plugins (fifo / keyed / backfill)
-    Ordering and admission: which queued job is eligible next, and
-    whether the manager may scan past a stuck head.  These wrap the
-    queue semantics that used to be hard-coded flags on
-    :class:`~repro.sim.cluster.ClusterManager`.
 
 ``Allocator`` plugins (first-fit / best-fit-price / reliability / affinity)
     Pool choice: a deterministic *ranking* of the pool catalog that
@@ -44,19 +39,13 @@ __all__ = [
     "PoolSpec",
     "resolve_pools",
     "pool_ranking",
-    "Scheduler",
-    "FifoScheduler",
-    "KeyedScheduler",
-    "BackfillScheduler",
     "Allocator",
     "FirstFitAllocator",
     "BestFitByPriceAllocator",
     "ReliabilityAwareAllocator",
     "TenantAffinityAllocator",
     "ALLOCATORS",
-    "SCHEDULERS",
     "make_allocator",
-    "make_scheduler",
 ]
 
 
@@ -156,64 +145,6 @@ def resolve_pools(
         )
         for p in catalog
     )
-
-
-# ----------------------------------------------------------------------
-# Scheduler plugins: ordering / admission
-# ----------------------------------------------------------------------
-
-class Scheduler:
-    """Queue-ordering policy: which queued job is eligible next.
-
-    ``keyed`` switches the manager to priority-key ordering (tenancy
-    fair/weighted queues); ``backfill`` lets it scan past a stuck head
-    for a narrower startable job.  Plain FIFO is both flags off.
-    """
-
-    name = "fifo"
-    keyed = False
-    backfill = False
-
-
-class FifoScheduler(Scheduler):
-    """Strict arrival-order head-of-line scheduling (the default)."""
-
-    name = "fifo"
-
-
-class KeyedScheduler(Scheduler):
-    """Priority-key ordering: the queue pops the minimum-key job."""
-
-    name = "keyed"
-    keyed = True
-
-
-class BackfillScheduler(Scheduler):
-    """FIFO head-of-line plus backfill past a stuck head."""
-
-    name = "backfill"
-    backfill = True
-
-
-SCHEDULERS: dict[str, type[Scheduler]] = {
-    "fifo": FifoScheduler,
-    "keyed": KeyedScheduler,
-    "backfill": BackfillScheduler,
-}
-
-
-def make_scheduler(spec: str | Scheduler | None) -> Scheduler:
-    """Coerce a scheduler name (or instance, or ``None``) to a plugin."""
-    if spec is None:
-        return FifoScheduler()
-    if isinstance(spec, Scheduler):
-        return spec
-    try:
-        return SCHEDULERS[spec]()
-    except KeyError:
-        raise ValueError(
-            f"unknown scheduler {spec!r}; expected one of {sorted(SCHEDULERS)}"
-        ) from None
 
 
 # ----------------------------------------------------------------------

@@ -193,24 +193,17 @@ class ServiceBatchConfig:
         check_positive("livelock_threshold", self.livelock_threshold)
 
     @classmethod
-    def from_service_config(
-        cls, config, *, checkpoint_interval: float | None = None
-    ) -> "ServiceBatchConfig":
+    def from_service_config(cls, config) -> "ServiceBatchConfig":
         """Build from a service-layer ``ServiceConfig`` (duck-typed, so
         the sim layer never imports the service layer).
 
         The single mapping site for every entry point that accepts a
-        ``ServiceConfig``.  ``checkpoint_interval`` overrides the
-        config's own; DP checkpointing (``use_checkpointing`` with no
-        fixed interval resolved) maps onto ``checkpoint="dp"`` — the
-        batched DP plan walker, equivalence-pinned against the
+        ``ServiceConfig``.  DP checkpointing (``use_checkpointing`` with
+        no fixed ``checkpoint_interval``) maps onto ``checkpoint="dp"``
+        — the batched DP plan walker, equivalence-pinned against the
         controller's per-attempt planner.
         """
-        interval = (
-            checkpoint_interval
-            if checkpoint_interval is not None
-            else config.checkpoint_interval
-        )
+        interval = config.checkpoint_interval
         dp = config.use_checkpointing and interval is None
         return cls(
             max_vms=config.max_vms,

@@ -298,11 +298,27 @@ class TestApiEdges:
         # it now maps onto the batched DP plan walker.
         from repro.service import ServiceConfig
 
-        cfg = ServiceBatchConfig.from_service_config(
-            ServiceConfig(use_checkpointing=True)
+        svc = ServiceConfig(
+            max_vms=6,
+            use_reuse_policy=False,
+            use_checkpointing=True,
+            provision_latency=0.2,
+            backfill=True,
+            run_master=False,
         )
+        cfg = ServiceBatchConfig.from_service_config(svc)
         assert cfg.checkpoint == "dp"
         assert cfg.checkpoint_interval is None
+        assert cfg.max_vms == 6
+        assert not cfg.use_reuse_policy
+        assert cfg.provision_latency == 0.2
+        assert cfg.backfill and not cfg.run_master
+        assert cfg.checkpoint_step == svc.checkpoint_step
+        # A config's own fixed interval passes through unchanged.
+        own = ServiceBatchConfig.from_service_config(
+            ServiceConfig(checkpoint_interval=0.3)
+        )
+        assert own.checkpoint_interval == 0.3
         out = run_service_replications(
             reference_dist,
             [(1.0, 1)],
@@ -372,6 +388,10 @@ class TestApiEdges:
         crf = out.cost_reduction_factor(0.2, 1.0, master_rate=0.05)
         assert crf.shape == (8,)
         assert np.all(crf > 0.0)
+        # Master billing shows up in the factor: dearer master => lower.
+        cheap = out.cost_reduction_factor(0.2, 1.0, master_rate=0.0)
+        dear = out.cost_reduction_factor(0.2, 1.0, master_rate=0.5)
+        assert np.all((0.0 < dear) & (dear < cheap))
 
 
 @pytest.mark.slow

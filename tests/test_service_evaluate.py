@@ -108,6 +108,39 @@ class TestReplicationModel:
         assert on.failure_fraction < off.failure_fraction
         assert on.mean_makespan < off.mean_makespan
 
+    @pytest.mark.parametrize(
+        "seed", [None, 0.0, "0"], ids=["none", "float", "str"]
+    )
+    def test_sweep_rejects_non_integer_seed(self, reference_dist, seed):
+        with pytest.raises(TypeError, match="seed must be an int"):
+            sweep_configurations(
+                reference_dist, [ServiceConfig()], JOB, n_replications=4, seed=seed
+            )
+
+    def test_sweep_rejects_shared_generator_before_drawing(self, reference_dist):
+        """A shared generator would hand each configuration different
+        arrival ages; it is refused before any draw, so the caller's
+        generator is left untouched."""
+        rng = np.random.default_rng(0)
+        with pytest.raises(TypeError, match="seed must be an int"):
+            sweep_configurations(
+                reference_dist,
+                [ServiceConfig(), ServiceConfig(use_reuse_policy=False)],
+                JOB,
+                n_replications=4,
+                seed=rng,
+            )
+        assert rng.random() == np.random.default_rng(0).random()
+
+    def test_sweep_accepts_numpy_integer_seed(self, reference_dist):
+        configs = [ServiceConfig(), ServiceConfig(use_reuse_policy=False)]
+        a = sweep_configurations(
+            reference_dist, configs, JOB, n_replications=50, seed=np.int64(3)
+        )
+        b = sweep_configurations(reference_dist, configs, JOB, n_replications=50, seed=3)
+        np.testing.assert_array_equal(a[0].vm_ages, a[1].vm_ages)  # paired
+        np.testing.assert_array_equal(a[1].outcomes.makespan, b[1].outcomes.makespan)
+
     def test_checkpointing_reduces_makespan(self, reference_dist):
         """Checkpointed execution wastes less work for long jobs."""
         plain, ckpt = sweep_configurations(
@@ -190,244 +223,3 @@ class TestControllerHook:
         np.testing.assert_array_equal(
             hook.outcomes.makespan, standalone.outcomes.makespan
         )
-
-
-class TestEvaluateCluster:
-    """The cluster-scale entry point over run_cluster_replications."""
-
-    BAG = [(0.8, 1), (0.5, 2), (1.2, 1), (0.3, 2)]
-
-    def test_backends_agree(self, reference_dist):
-        ev = ServicePolicyEvaluator(reference_dist, ServiceConfig(max_vms=4))
-        event = ev.evaluate_cluster(self.BAG, n_replications=6, seed=3, backend="event")
-        vec = ev.evaluate_cluster(self.BAG, n_replications=6, seed=3, backend="vectorized")
-        np.testing.assert_allclose(
-            vec.outcomes.makespan, event.outcomes.makespan, rtol=0.0, atol=1e-9
-        )
-        np.testing.assert_allclose(
-            vec.outcomes.wasted_hours,
-            event.outcomes.wasted_hours,
-            rtol=0.0,
-            atol=1e-9,
-        )
-        np.testing.assert_array_equal(
-            vec.outcomes.n_job_failures, event.outcomes.n_job_failures
-        )
-
-    def test_config_mapping(self, reference_dist):
-        cfg = ServiceConfig(max_vms=6, use_reuse_policy=False, use_checkpointing=True)
-        ev = ServicePolicyEvaluator(reference_dist, cfg)
-        ccfg = ev.cluster_config()
-        assert ccfg.pool_size == 6
-        assert not ccfg.use_reuse_policy
-        # use_checkpointing with no fixed interval maps onto the batched
-        # DP plan walker (the Young-Daly stand-in is gone).
-        assert ccfg.checkpoint == "dp"
-        assert ccfg.checkpoint_interval is None
-        assert ccfg.checkpoint_step == cfg.checkpoint_step
-        assert ccfg.checkpoint_cost == cfg.checkpoint_cost
-
-    def test_explicit_interval_overrides_default(self, reference_dist):
-        cfg = ServiceConfig(use_checkpointing=True)
-        ev = ServicePolicyEvaluator(reference_dist, cfg)
-        assert ev.cluster_config(checkpoint_interval=0.25).checkpoint_interval == 0.25
-
-    def test_metrics_and_summary(self, reference_dist):
-        ev = ServicePolicyEvaluator(reference_dist, ServiceConfig(max_vms=4))
-        res = ev.evaluate_cluster(self.BAG, n_replications=8, seed=0)
-        assert res.n_replications == 8
-        assert res.total_work_hours == pytest.approx(0.8 + 1.0 + 1.2 + 0.6)
-        assert res.mean_makespan > 0.0
-        assert res.mean_cost_per_job(1.0) == pytest.approx(
-            res.outcomes.mean_vm_hours / 4
-        )
-        factor = res.cost_reduction_factor(0.2, 1.0)
-        assert factor > 0.0
-        assert "pool=4" in res.summary()
-
-    def test_reachable_from_controller_hook(self):
-        from repro.sim.cloud import CloudProvider
-        from repro.sim.engine import Simulator
-        from repro.sim.rng import RandomStreams
-        from repro.traces.catalog import default_catalog
-
-        sim = Simulator()
-        cloud = CloudProvider(sim, default_catalog(), RandomStreams(0))
-        model = default_catalog().distribution("n1-highcpu-16", "us-east1-b")
-        service = BatchComputingService(sim, cloud, model, ServiceConfig(max_vms=4))
-        res = service.policy_evaluator().evaluate_cluster(
-            self.BAG, n_replications=4, seed=1
-        )
-        assert res.cluster_config.pool_size == 4
-        assert (res.outcomes.completed_jobs == len(self.BAG)).all()
-
-
-class TestEvaluateService:
-    """The full-controller entry point over run_service_replications."""
-
-    BAG = [(0.8, 1), (0.5, 2), (1.2, 1), (0.3, 2)]
-
-    def test_backends_agree(self, reference_dist):
-        ev = ServicePolicyEvaluator(
-            reference_dist, ServiceConfig(max_vms=4, provision_latency=0.1)
-        )
-        event = ev.evaluate_service(self.BAG, n_replications=6, seed=3, backend="event")
-        vec = ev.evaluate_service(
-            self.BAG, n_replications=6, seed=3, backend="vectorized"
-        )
-        np.testing.assert_allclose(
-            vec.outcomes.makespan, event.outcomes.makespan, rtol=0.0, atol=1e-9
-        )
-        np.testing.assert_allclose(
-            vec.outcomes.vm_hours, event.outcomes.vm_hours, rtol=0.0, atol=1e-9
-        )
-        np.testing.assert_array_equal(
-            vec.outcomes.n_preemptions, event.outcomes.n_preemptions
-        )
-
-    def test_batch_config_mapping(self, reference_dist):
-        cfg = ServiceConfig(
-            max_vms=6,
-            use_reuse_policy=False,
-            use_checkpointing=True,
-            provision_latency=0.2,
-            backfill=True,
-            run_master=False,
-        )
-        ev = ServicePolicyEvaluator(reference_dist, cfg)
-        bcfg = ev.service_batch_config()
-        assert bcfg.max_vms == 6
-        assert not bcfg.use_reuse_policy
-        assert bcfg.provision_latency == 0.2
-        assert bcfg.backfill and not bcfg.run_master
-        # use_checkpointing with no fixed interval maps onto the batched
-        # DP plan walker (the Young-Daly stand-in is gone).
-        assert bcfg.checkpoint == "dp"
-        assert bcfg.checkpoint_interval is None
-        assert bcfg.checkpoint_step == cfg.checkpoint_step
-
-    def test_explicit_interval_passthrough(self, reference_dist):
-        ev = ServicePolicyEvaluator(
-            reference_dist, ServiceConfig(checkpoint_interval=0.3)
-        )
-        assert ev.service_batch_config().checkpoint_interval == 0.3
-
-    def test_metrics_and_summary(self, reference_dist):
-        ev = ServicePolicyEvaluator(reference_dist, ServiceConfig(max_vms=4))
-        res = ev.evaluate_service(self.BAG, n_replications=8, seed=0)
-        assert res.n_replications == 8
-        assert res.total_work_hours == pytest.approx(0.8 + 1.0 + 1.2 + 0.6)
-        assert res.mean_makespan > 0.0
-        assert res.mean_cost_per_job(1.0) == pytest.approx(
-            res.outcomes.mean_cost(1.0) / 4
-        )
-        # Master billing shows up in the factor: pricier master => lower.
-        cheap = res.cost_reduction_factor(0.2, 1.0, master_rate=0.0)
-        dear = res.cost_reduction_factor(0.2, 1.0, master_rate=0.5)
-        assert 0.0 < dear < cheap
-        assert "lat=0" in res.summary() and "fleet=4" in res.summary()
-
-    def test_reachable_from_controller_hook(self):
-        sim = Simulator()
-        cloud = CloudProvider(sim, default_catalog(), RandomStreams(0))
-        model = default_catalog().distribution("n1-highcpu-16", "us-east1-b")
-        service = BatchComputingService(sim, cloud, model, ServiceConfig(max_vms=4))
-        res = service.policy_evaluator().evaluate_service(
-            self.BAG, n_replications=4, seed=1
-        )
-        assert res.batch_config.max_vms == 4
-        assert (res.outcomes.completed_jobs == len(self.BAG)).all()
-
-
-class TestEvaluateTenants:
-    """The traffic-serving entry point over run_tenant_replications."""
-
-    TRAFFIC = [
-        (0, 0.0, [(0.6, 1), (0.4, 1)]),
-        (1, 0.3, [(0.5, 2)]),
-        (0, 1.0, [(0.3, 1)]),
-    ]
-
-    def test_backends_agree(self, reference_dist):
-        ev = ServicePolicyEvaluator(reference_dist, ServiceConfig(max_vms=3))
-        event = ev.evaluate_tenants(
-            self.TRAFFIC, n_replications=5, seed=2, backend="event", scheduling="fair"
-        )
-        vec = ev.evaluate_tenants(
-            self.TRAFFIC,
-            n_replications=5,
-            seed=2,
-            backend="vectorized",
-            scheduling="fair",
-        )
-        np.testing.assert_allclose(
-            vec.outcomes.makespan, event.outcomes.makespan, rtol=0.0, atol=1e-9
-        )
-        np.testing.assert_allclose(
-            vec.outcomes.start_times, event.outcomes.start_times, rtol=0.0, atol=1e-9
-        )
-        np.testing.assert_array_equal(vec.outcomes.admitted, event.outcomes.admitted)
-
-    def test_tenancy_config_mapping(self, reference_dist):
-        cfg = ServiceConfig(
-            max_vms=6,
-            use_reuse_policy=False,
-            use_checkpointing=True,
-            provision_latency=0.2,
-            run_master=False,
-        )
-        ev = ServicePolicyEvaluator(reference_dist, cfg)
-        tcfg = ev.tenancy_config(
-            scheduling="weighted",
-            tenant_weights=(1.0, 2.0),
-            admission_cap=5,
-            elastic_vms_per_bag=3,
-        )
-        assert tcfg.max_vms == 6
-        assert not tcfg.use_reuse_policy
-        assert tcfg.provision_latency == 0.2
-        assert not tcfg.run_master
-        assert tcfg.scheduling == "weighted"
-        assert tcfg.tenant_weights == (1.0, 2.0)
-        assert tcfg.admission_cap == 5 and tcfg.elastic_vms_per_bag == 3
-        # use_checkpointing with no fixed interval maps onto the batched
-        # DP plan walker (the Young-Daly stand-in is gone).
-        assert tcfg.checkpoint == "dp"
-        assert tcfg.checkpoint_interval is None
-        assert tcfg.checkpoint_step == cfg.checkpoint_step
-
-    def test_metrics_and_summary(self, reference_dist):
-        ev = ServicePolicyEvaluator(reference_dist, ServiceConfig(max_vms=3))
-        res = ev.evaluate_tenants(
-            self.TRAFFIC, n_replications=8, seed=0, admission_cap=8
-        )
-        assert res.n_replications == 8
-        assert res.admitted_fraction == 1.0
-        assert res.mean_wait_hours >= 0.0
-        assert res.cost_reduction_factor(0.2, 1.0) > 0.0
-        text = res.summary()
-        assert "sched=fifo" in text and "cap=8" in text
-
-    def test_shared_plumbing_matches_direct_call(self, reference_dist):
-        """The evaluator front end is pure plumbing over the backend
-        entry point: same config, same seed => identical arrays."""
-        from repro.sim.backend import run_tenant_replications
-
-        ev = ServicePolicyEvaluator(reference_dist, ServiceConfig(max_vms=3))
-        res = ev.evaluate_tenants(self.TRAFFIC, n_replications=4, seed=7)
-        direct = run_tenant_replications(
-            reference_dist,
-            self.TRAFFIC,
-            config=ev.tenancy_config(),
-            n_replications=4,
-            seed=7,
-        )
-        np.testing.assert_array_equal(res.outcomes.makespan, direct.makespan)
-        np.testing.assert_array_equal(res.outcomes.n_draws, direct.n_draws)
-
-    def test_backfill_rejected_like_the_live_front_end(self, reference_dist):
-        ev = ServicePolicyEvaluator(
-            reference_dist, ServiceConfig(max_vms=3, backfill=True)
-        )
-        with pytest.raises(ValueError, match="backfill"):
-            ev.evaluate_tenants(self.TRAFFIC, n_replications=2)

@@ -162,9 +162,8 @@ class TestCompiledProviderContracts:
             def missing():
                 raise ImportError("module not installed")
 
-            monkeypatch.setitem(compiled._LOADERS, "numba", missing)
             monkeypatch.setitem(compiled._LOADERS, "cc", missing)
-            with pytest.raises(ImportError, match="Install numba"):
+            with pytest.raises(ImportError, match="Make a C compiler"):
                 run_replications(
                     DIST, SEGMENTS, n_replications=4,
                     backend="vectorized-compiled",
