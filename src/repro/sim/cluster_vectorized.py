@@ -236,7 +236,7 @@ class _ClusterKernel(_LockstepKernel):
         )
 
     def _arena_channels(self) -> list[tuple[str, int]]:
-        return [("death", self.S), ("comp", self.J)]
+        return [("death", self.S), ("comp", self.S)]
 
     def _t0(self, rows: np.ndarray) -> None:
         """Boot the pool (draws in slot order), submit the bag FIFO."""

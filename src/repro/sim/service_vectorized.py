@@ -233,7 +233,7 @@ class _ServiceKernel(_LockstepKernel):
     def _arena_channels(self) -> list[tuple[str, int]]:
         return [
             ("death", self.S),
-            ("comp", self.J),
+            ("comp", self.S),
             ("boot", self.B),
             ("reap", self.S),
         ]

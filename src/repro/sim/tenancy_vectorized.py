@@ -294,8 +294,10 @@ class _TenancyKernel(_ServiceKernel):
     """Array state and phase operations of the lockstep tenancy sweep.
 
     Inherits the service kernel's fleet/boot/reap/death machinery and
-    adds arrival events, per-bag estimates, tenant affinity, the
-    elastic cap and the compact running slots.
+    adds arrival events, per-bag estimates, tenant affinity and the
+    elastic cap.  Running segments live in the fleet core's ``S``-wide
+    running slots, so per-round selection cost does not grow with the
+    traffic length.
     """
 
     _sweep_name = "tenancy"
@@ -304,13 +306,6 @@ class _TenancyKernel(_ServiceKernel):
     #: Backfill has no tenancy equivalent: inter-tenant policies own the
     #: queue order.
     backfill = False
-
-    #: The compact running slots replace the per-job completion columns
-    #: in the fused table.
-    _ARENA_BINDINGS = {
-        **_ServiceKernel._ARENA_BINDINGS,
-        "comp": ("rtime", "rseq"),
-    }
 
     def _arena_channels(self) -> list[tuple[str, int]]:
         return [
@@ -338,12 +333,6 @@ class _TenancyKernel(_ServiceKernel):
         self.atime = flat["bag_time"]
         super().__init__(dist, jobs, config, n_replications, rng, max_events, obs=obs)
         n, J = self.n, self.J
-        # Per-job completion events live *outside* the fused table (the
-        # compact ``comp`` channel mirrors the at-most-S pending ones),
-        # keeping per-round selection cost O(S) however long the
-        # traffic is.
-        self.ctime = np.full((n, J), np.inf)
-        self.cseq = np.full((n, J), _SEQ_INF, dtype=np.int64)
         self.T = int(n_tenants)
         self.job_tenant = flat["job_tenant"]
         self.bag_of = np.zeros(J, dtype=np.int64)
@@ -389,12 +378,6 @@ class _TenancyKernel(_ServiceKernel):
         self.active_bags = np.zeros(n, dtype=np.int64)
         self.first_start = np.full((n, J), np.nan)
         self.finish = np.full((n, J), np.nan)
-        # Compact running-completion slots.  At most S jobs run at once
-        # (each holds >= 1 of the S workers), so pending segment events
-        # live in (n, S) arrays keyed by the gang's first VM column —
-        # the round loop scans these instead of the (n, J) ctime/cseq,
-        # decoupling per-round cost from the traffic length.
-        self.rjob = np.full((n, self.S), -1, dtype=np.int64)
         # Per-tenant pool rankings.  Affinity only depends on
         # ``tenant mod P`` (the home pool), so ``nP x nP`` tables cover
         # every tenant; non-affinity allocators produce identical rows.
@@ -485,25 +468,6 @@ class _TenancyKernel(_ServiceKernel):
             return None
         return self.rank_by_home[self.job_home[jj]]
 
-    # -- compact running-slot maintenance --------------------------------
-    # Both hooks run while ``vm_job`` still holds the job's gang (the
-    # launch sites assign VMs before launching; the clear sites release
-    # them after clearing), so the gang's first VM column is a stable
-    # slot id for the segment's lifetime.
-    def _launch_segment(self, rr: np.ndarray, jj: np.ndarray, left: np.ndarray) -> None:
-        super()._launch_segment(rr, jj, left)
-        slot = np.argmax(self.vm_job[rr] == jj[:, None], axis=1)
-        self.rtime[rr, slot] = self.ctime[rr, jj]
-        self.rseq[rr, slot] = self.cseq[rr, jj]
-        self.rjob[rr, slot] = jj
-
-    def _clear_segment(self, rr: np.ndarray, jj: np.ndarray) -> None:
-        super()._clear_segment(rr, jj)
-        slot = np.argmax(self.vm_job[rr] == jj[:, None], axis=1)
-        self.rtime[rr, slot] = np.inf
-        self.rseq[rr, slot] = _SEQ_INF
-        self.rjob[rr, slot] = -1
-
     # -- event rounds ----------------------------------------------------
     def _on_arr(self, rr: np.ndarray, _col: np.ndarray) -> None:
         """Bag arrival events: admission, key activation, submit stalls."""
@@ -536,10 +500,6 @@ class _TenancyKernel(_ServiceKernel):
             for j, key in zip(range(lo, hi), keys):
                 self.qkey[ra, j] = key
                 self._schedule_pass(ra)
-
-    def _on_comp(self, rr: np.ndarray, slot: np.ndarray) -> None:
-        """A running slot's segment completes (slot -> job)."""
-        super()._on_comp(rr, self.rjob[rr, slot])
 
     def _job_done(self, rr: np.ndarray, jj: np.ndarray, gang: np.ndarray) -> None:
         # Tenant bookkeeping, then the service's release order (idle

@@ -330,7 +330,10 @@ class _LockstepKernel:
     * **VM and job exits**: :meth:`_retire` (billing), :meth:`_on_death`
       with the gang :meth:`_abort`, the segment walk
       (:meth:`_launch_segment` / :meth:`_clear_segment`, clipped exactly
-      as ``JobExecution`` clips) and :meth:`_on_comp`;
+      as ``JobExecution`` clips) and :meth:`_on_comp`.  A running
+      segment lives in one running slot, keyed by its gang's first VM
+      column, so the ``comp`` channel is ``S`` wide however many jobs
+      the workload holds;
     * the trailing-mean runtime estimate (:meth:`_record_completion`).
 
     A kernel keeps only its policy, through these hooks:
@@ -346,7 +349,7 @@ class _LockstepKernel:
     #: declares; extra map entries are inert.
     _ARENA_BINDINGS: dict[str, tuple[str, str]] = {
         "death": ("death", "dseq"),
-        "comp": ("ctime", "cseq"),
+        "comp": ("rtime", "rseq"),
         "boot": ("btime", "bseq"),
         "reap": ("reap_time", "reap_seq"),
         "arr": ("arr_time", "arr_seq"),
@@ -437,9 +440,14 @@ class _LockstepKernel:
         self.qkey = np.broadcast_to(np.arange(J, dtype=float), (n, J)).copy()
         self.head_key = np.full(n, -1.0)  # next requeue-at-head key
         self.progress = np.zeros((n, J))
-        self.sstart = np.zeros((n, J))
-        self.seg_take = np.zeros((n, J))
-        self.seg_after = np.zeros((n, J))
+        # Running slots: at most S gangs run at once and each holds at
+        # least one VM column, so a running segment is keyed by its
+        # gang's first column.  Only _start_job and _release write
+        # vm_job, so that column is fixed from launch to clear.
+        self.rjob = np.full((n, S), -1, dtype=np.int64)
+        self.sstart = np.zeros((n, S))
+        self.seg_take = np.zeros((n, S))
+        self.seg_after = np.zeros((n, S))
         # Outcomes.
         self.makespan = np.zeros(n)
         self.wasted = np.zeros(n)
@@ -780,7 +788,7 @@ class _LockstepKernel:
                 sel, self.now[rr][:, None] - self.launch[rr], -np.inf
             ).max(axis=1)
             self.dp.begin(rr, jj, left, np.maximum(ages, 0.0))
-        self._launch_segment(rr, jj, left)
+        self._launch_segment(rr, jj, np.argmax(sel, axis=1), left)
 
     def _on_start(self, rr: np.ndarray, jj: np.ndarray, sel: np.ndarray) -> None:
         """Policy bookkeeping as job ``jj`` takes the VMs ``sel``."""
@@ -837,9 +845,10 @@ class _LockstepKernel:
     def _abort(self, rr: np.ndarray, jj: np.ndarray) -> None:
         """Gang abort: waste the current segment, requeue the job at the
         head, release the surviving gang members."""
-        self.wasted[rr] += self.now[rr] - self.sstart[rr, jj]
+        slot = np.argmax(self.vm_job[rr] == jj[:, None], axis=1)
+        self.wasted[rr] += self.now[rr] - self.sstart[rr, slot]
         self.failures[rr] += 1
-        self._clear_segment(rr, jj)
+        self._clear_segment(rr, slot)
         self.qkey[rr, jj] = self.head_key[rr]
         self.head_key[rr] -= 1.0
         self._release(rr, jj)
@@ -850,8 +859,11 @@ class _LockstepKernel:
         self.vm_job[rr] = np.where(gang, -1, self.vm_job[rr])
         return gang
 
-    def _launch_segment(self, rr: np.ndarray, jj: np.ndarray, left: np.ndarray) -> None:
-        """Schedule the next segment of ``left`` remaining attempt hours."""
+    def _launch_segment(
+        self, rr: np.ndarray, jj: np.ndarray, slot: np.ndarray, left: np.ndarray
+    ) -> None:
+        """Schedule job ``jj``'s next segment of ``left`` remaining
+        attempt hours in running slot ``slot``."""
         if self.dp is not None:
             take = self.dp.next_take(rr, jj, left)
         else:
@@ -860,36 +872,35 @@ class _LockstepKernel:
         after = left - take
         final = after <= _RESIDUAL
         dur = take + np.where(final, 0.0, self.cfg.checkpoint_cost)
-        self.sstart[rr, jj] = self.now[rr]
-        self.ctime[rr, jj] = self.now[rr] + dur
-        self.cseq[rr, jj] = self.evseq[rr]
+        self.sstart[rr, slot] = self.now[rr]
+        self.rtime[rr, slot] = self.now[rr] + dur
+        self.rseq[rr, slot] = self.evseq[rr]
         self.evseq[rr] += 1
-        self.seg_take[rr, jj] = take
-        self.seg_after[rr, jj] = after
+        self.rjob[rr, slot] = jj
+        self.seg_take[rr, slot] = take
+        self.seg_after[rr, slot] = after
 
-    def _clear_segment(self, rr: np.ndarray, jj: np.ndarray) -> None:
-        """Cancel job ``jj``'s pending segment-completion event.
+    def _clear_segment(self, rr: np.ndarray, slot: np.ndarray) -> None:
+        """Empty running slot ``slot``: cancel its pending completion."""
+        self.rtime[rr, slot] = np.inf
+        self.rseq[rr, slot] = _SEQ_INF
+        self.rjob[rr, slot] = -1
 
-        The single exit point matching :meth:`_launch_segment`'s entry:
-        kernels that mirror pending completions into auxiliary state
-        (the tenancy kernel's compact running slots) hook both.
-        """
-        self.ctime[rr, jj] = np.inf
-        self.cseq[rr, jj] = _SEQ_INF
-
-    def _on_comp(self, rr: np.ndarray, jj: np.ndarray) -> None:
-        """Job ``jj``'s segment completes: credit its work, then launch
-        the next segment or finish the job."""
-        take = self.seg_take[rr, jj]
+    def _on_comp(self, rr: np.ndarray, slot: np.ndarray) -> None:
+        """A running slot's segment completes: credit its job's work,
+        then launch the next segment or finish the job."""
+        jj = self.rjob[rr, slot]
+        take = self.seg_take[rr, slot]
         self.progress[rr, jj] = np.minimum(self.progress[rr, jj] + take, self.work[jj])
-        after = self.seg_after[rr, jj]
+        after = self.seg_after[rr, slot]
         more = after > _RESIDUAL
-        rc, jc = rr[more], jj[more]
+        rc = rr[more]
         if rc.size:  # checkpoint written; next segment in the same instant
-            self._launch_segment(rc, jc, after[more])
-        rf, jf = rr[~more], jj[~more]
+            self._launch_segment(rc, jj[more], slot[more], after[more])
+        done = ~more
+        rf, jf = rr[done], jj[done]
         if rf.size:
-            self._clear_segment(rf, jf)
+            self._clear_segment(rf, slot[done])
             gang = self._release(rf, jf)
             self.done_count[rf] += 1
             self._job_done(rf, jf, gang)
@@ -940,20 +951,16 @@ class _LockstepKernel:
         """Column order by (pool rank, launch, birth), non-``mask`` last.
 
         ``rank`` — optional per-(row, column) allocator rank aligned
-        with ``self.launch[rr]`` — becomes the *primary* key via a third
-        stable argsort pass; ``None`` (or an all-equal rank, i.e. a
-        single pool) reduces exactly to the historical ``(launch,
-        birth)`` ``free_nodes()`` order.
+        with ``self.launch[rr]`` — is the *primary* key; ``None`` (or an
+        all-equal rank, i.e. a single pool) reduces exactly to the
+        historical ``(launch, birth)`` ``free_nodes()`` order.  The sort
+        is stable, so full ties keep column order.
         """
-        lm = np.where(mask, self.launch[rr], np.inf)
-        bm = np.where(mask, self.birth[rr], np.iinfo(np.int64).max)
-        by_birth = np.argsort(bm, axis=1, kind="stable")
-        l_sorted = np.take_along_axis(lm, by_birth, axis=1)
-        by_launch = np.argsort(l_sorted, axis=1, kind="stable")
-        order = np.take_along_axis(by_birth, by_launch, axis=1)
-        if rank is None:
-            return order
-        km = np.where(mask, rank, np.iinfo(np.int64).max)
-        k_sorted = np.take_along_axis(km, order, axis=1)
-        by_rank = np.argsort(k_sorted, axis=1, kind="stable")
-        return np.take_along_axis(order, by_rank, axis=1)
+        # np.lexsort's last key is its primary one.
+        keys = [
+            np.where(mask, self.birth[rr], np.iinfo(np.int64).max),
+            np.where(mask, self.launch[rr], np.inf),
+        ]
+        if rank is not None:
+            keys.append(np.where(mask, rank, np.iinfo(np.int64).max))
+        return np.lexsort(tuple(keys), axis=1)
