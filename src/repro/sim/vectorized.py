@@ -58,8 +58,10 @@ __all__ = [
     "EventArena",
 ]
 
+#: The largest int64: the sort key that puts masked cells last.
+_INT64_MAX = np.iinfo(np.int64).max
 #: Sentinel sequence number larger than any a lockstep kernel can assign.
-_SEQ_INF = np.iinfo(np.int64).max
+_SEQ_INF = _INT64_MAX
 #: Residual-work threshold below which a segment is final (the
 #: ``JobExecution._clip_segments`` tolerance).
 _RESIDUAL = 1e-12
@@ -73,9 +75,9 @@ class EventArena:
     deaths, segment completions, worker boots, reap timers, arrivals)
     as adjacent column spans.  Kernels write through per-channel slice
     views, so the per-round selection is two reductions over one
-    contiguous block with **no** per-round ``np.concatenate`` / mask
-    copies; this is where the structure-of-arrays core pays off at
-    100k+-replication scale.
+    contiguous block with **no** per-round ``np.concatenate``; when
+    every row is active (always at one replication) the reductions run
+    over the arrays themselves, with no mask copy.
 
     Invariant: a column with no pending event holds ``times == inf``
     and ``seqs == _SEQ_INF``.  In particular the death channel is *not*
@@ -103,12 +105,16 @@ class EventArena:
 
         ``pick`` is the fused-table column of the earliest pending
         event, ties broken by the smallest insertion sequence — the
-        :class:`repro.sim.engine.Simulator` heap contract.
+        :class:`repro.sim.engine.Simulator` heap contract.  ``active``
+        is a sorted subset of the rows, so a full-size one is every row.
         """
-        times = self.times[active]
+        if active.size == self.times.shape[0]:
+            times, seqs = self.times, self.seqs
+        else:
+            times, seqs = self.times[active], self.seqs[active]
         tmin = times.min(axis=1)
         tie = times == tmin[:, None]
-        pick = np.argmin(np.where(tie, self.seqs[active], _SEQ_INF), axis=1)
+        pick = np.argmin(np.where(tie, seqs, _SEQ_INF), axis=1)
         return tmin, pick
 
 
@@ -464,22 +470,28 @@ class _LockstepKernel:
         if rows.size:
             self._t0(rows)
         active = rows[~self._finished(rows)]
+        spans = self._ev.spans
         channels = [
-            (name, lo, hi, getattr(self, f"_on_{name}"))
-            for name, (lo, hi) in self._ev.spans.items()
+            (name, lo, getattr(self, f"_on_{name}"))
+            for name, (lo, _) in spans.items()
         ]
+        span_ends = np.asarray([hi for _, hi in spans.values()])
         n_rounds = 0
         while active.size:
             _, pick = self._select_events(active)
-            hits = [(pick >= lo) & (pick < hi) for _, lo, hi, _ in channels]
+            # Channel of each pick, and how many picks each channel got.
+            ch = np.searchsorted(span_ends, pick, "right")
+            counts = np.bincount(ch, minlength=len(channels)).tolist()
             if self.obs is not None:
-                for (name, *_), hit in zip(channels, hits):
-                    self.obs.inc(f"events.{name}", int(hit.sum()))
+                for (name, *_), count in zip(channels, counts):
+                    self.obs.inc(f"events.{name}", count)
                 self._sample_obs(active)
-            for (_, lo, _, handle), hit in zip(channels, hits):
-                rows = active[hit]
-                if rows.size:
-                    handle(rows, pick[hit] - lo)
+            for c, (_, lo, handle) in enumerate(channels):
+                if counts[c] == active.size:
+                    handle(active, pick - lo)
+                elif counts[c]:
+                    hit = ch == c
+                    handle(active[hit], pick[hit] - lo)
             done = self._finished(active)
             self.makespan[active[done]] = self.now[active[done]]
             active = active[~done]
@@ -550,11 +562,14 @@ class _LockstepKernel:
 
     def _select_events(self, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Budget-checked earliest-event pick; advances ``now``/``events``."""
-        if np.any(self.events[active] >= self.max_events):
+        spent = self.events[active] >= self.max_events
+        if spent.any():
+            first = int(active[np.argmax(spent)])
             raise RuntimeError(
-                f"{active.size} replications unfinished after "
-                f"{self.max_events} events; the {self._budget_what} cannot "
-                "finish under this lifetime law / configuration"
+                f"{int(spent.sum())} replications unfinished after "
+                f"{self.max_events} events (first: kernel row {first} at "
+                f"now={float(self.now[first])!r}); the {self._budget_what} "
+                "cannot finish under this lifetime law / configuration"
             )
         tmin, pick = self._ev.select(active)
         if not np.all(np.isfinite(tmin)):
@@ -619,9 +634,7 @@ class _LockstepKernel:
         if self.nP == 1:
             return None
         vp = self.vm_pool[rr]
-        return np.where(
-            vp >= 0, self.rank_of[np.clip(vp, 0, None)], np.iinfo(np.int64).max
-        )
+        return np.where(vp >= 0, self.rank_of[np.clip(vp, 0, None)], _INT64_MAX)
 
     def _add_vm(self, rr: np.ndarray, pool: np.ndarray) -> None:
         """One fresh VM joins each row in ``pool``: draw its lifetime,
@@ -762,8 +775,8 @@ class _LockstepKernel:
                     break
             self._start_job(rr, head, suit)
             # Loop: the next queue head may start in the same instant.
-        if not stuck:
-            return None
+        if len(stuck) < 2:
+            return stuck[0] if stuck else None
         return tuple(np.concatenate(part) for part in zip(*stuck))
 
     def _stall_actions(self, rr, head, w, suit, free) -> None:
@@ -927,22 +940,24 @@ class _LockstepKernel:
         """Push the job's declared hours into its estimate.
 
         Reproduces ``BagOfJobs.estimated_runtime`` bit for bit: the
-        trailing ``estimate_window`` values are summed sequentially in
-        completion order, then divided by the window length.
+        trailing ``estimate_window`` values are gathered in completion
+        order (cells past the window's fill are zero) and summed
+        sequentially by ``np.add.accumulate`` — not ``sum``, whose
+        pairwise order rounds differently — then divided by the window
+        length.
         """
         W = self.cfg.estimate_window
         at = self._estimate_slot(rr, jj)
         pos = self.buf_pos[at]
         self.buf[at + (pos,)] = self.work[jj]
         self.buf_pos[at] = (pos + 1) % W
-        self.buf_len[at] = np.minimum(self.buf_len[at] + 1, W)
-        k = self.buf_len[at]
+        k = np.minimum(self.buf_len[at] + 1, W)
+        self.buf_len[at] = k
         start = np.where(k < W, 0, self.buf_pos[at])
-        total = np.zeros(rr.size)
-        for t in range(W):
-            vals = self.buf[at + ((start + t) % W,)]
-            total = np.where(t < k, total + vals, total)
-        self.est[at] = total / k
+        t = np.arange(W)
+        vals = self.buf[at][np.arange(rr.size)[:, None], (start[:, None] + t) % W]
+        vals[t >= k[:, None]] = 0.0
+        self.est[at] = np.add.accumulate(vals, axis=1)[:, -1] / k
 
     # -- ordering --------------------------------------------------------
     def _oldest(
@@ -958,9 +973,9 @@ class _LockstepKernel:
         """
         # np.lexsort's last key is its primary one.
         keys = [
-            np.where(mask, self.birth[rr], np.iinfo(np.int64).max),
+            np.where(mask, self.birth[rr], _INT64_MAX),
             np.where(mask, self.launch[rr], np.inf),
         ]
         if rank is not None:
-            keys.append(np.where(mask, rank, np.iinfo(np.int64).max))
+            keys.append(np.where(mask, rank, _INT64_MAX))
         return np.lexsort(tuple(keys), axis=1)

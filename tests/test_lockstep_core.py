@@ -11,6 +11,7 @@ stable argsort chain it replaces.
 
 from __future__ import annotations
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +19,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.distributions.exponential import ExponentialDistribution
+from repro.sim.backend import (
+    run_cluster_replications,
+    run_service_replications,
+    run_tenant_replications,
+)
 from repro.sim.cluster_vectorized import ClusterConfig, GangJob, _ClusterKernel
 from repro.sim.service_vectorized import ServiceBatchConfig, _ServiceKernel
 from repro.sim.tenancy_vectorized import (
@@ -25,12 +31,19 @@ from repro.sim.tenancy_vectorized import (
     TenancyConfig,
     _TenancyKernel,
 )
-from repro.sim.vectorized import _SEQ_INF, _LockstepKernel
+from repro.sim.vectorized import _SEQ_INF, EventArena, _LockstepKernel
 
 #: A 40-minute MTTF: gang aborts happen in almost every replication.
 DIST = ExponentialDistribution(1.5)
 JOBS = [GangJob(0.6, 1), GangJob(0.4, 2), GangJob(0.5, 1), GangJob(0.8, 3)]
 INT_MAX = np.iinfo(np.int64).max
+#: The same workload through the public entry points.
+CASE_JOBS = [(j.work_hours, j.width) for j in JOBS]
+CASE_TRAFFIC = [
+    (0, 0.0, CASE_JOBS[:2]),
+    (1, 0.3, CASE_JOBS[2:3]),
+    (2, 0.9, CASE_JOBS[3:]),
+]
 
 
 def _bag(n_jobs: int) -> list[GangJob]:
@@ -135,3 +148,99 @@ class TestOldestOrder:
         rr = np.arange(launch.shape[0])
         got = _LockstepKernel._oldest(core, mask, rr, rank)
         assert np.array_equal(got, _oldest_chain(launch, birth, mask, rank))
+
+
+def _select_copying(arena, active):
+    """The selector ``EventArena.select`` ran before its view path:
+    both tables copied through ``active`` on every call."""
+    times = arena.times[active]
+    tmin = times.min(axis=1)
+    tie = times == tmin[:, None]
+    pick = np.argmin(np.where(tie, arena.seqs[active], _SEQ_INF), axis=1)
+    return tmin, pick
+
+
+@st.composite
+def _arenas(draw):
+    """A filled arena plus its active rows: every row, or a sorted
+    strict subset.  Times come from a small set, so rows have ties and
+    some rows are all ``inf``; seqs are a random order per row, and an
+    empty cell holds ``_SEQ_INF`` (the arena invariant)."""
+    n, C = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    arena = EventArena(n, [("a", C // 2), ("b", C - C // 2)])
+    for r in range(n):
+        if draw(st.booleans()):
+            cells = st.sampled_from([0.0, 0.5, 1.0, np.inf])
+            arena.times[r] = draw(st.lists(cells, min_size=C, max_size=C))
+        arena.seqs[r] = draw(st.permutations(range(C)))
+    arena.seqs[np.isinf(arena.times)] = _SEQ_INF
+    if draw(st.booleans()):
+        active = np.arange(n)
+    else:
+        keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        keep[draw(st.integers(0, n - 1))] = False
+        active = np.flatnonzero(keep)
+    return arena, active
+
+
+class TestArenaSelect:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_arenas())
+    def test_matches_the_copying_selector(self, case):
+        arena, active = case
+        tmin, pick = arena.select(active)
+        want_tmin, want_pick = _select_copying(arena, active)
+        assert np.array_equal(tmin, want_tmin)
+        assert np.array_equal(pick, want_pick)
+
+
+RUNNERS = {
+    "cluster": lambda n: run_cluster_replications(
+        DIST, CASE_JOBS, n_replications=n, seed=5, pool_size=4,
+        checkpoint_interval=0.2, instrument=True,
+    ),
+    "service": lambda n: run_service_replications(
+        DIST, CASE_JOBS, n_replications=n, seed=5, max_vms=4,
+        provision_latency=0.1, hot_spare_hours=0.05, instrument=True,
+    ),
+    "tenancy": lambda n: run_tenant_replications(
+        DIST, CASE_TRAFFIC, n_replications=n, seed=5, max_vms=4,
+        provision_latency=0.1, hot_spare_hours=0.05, instrument=True,
+    ),
+}
+
+
+class TestDispatchCounts:
+    """Every picked event is dispatched to, and counted on, exactly one
+    channel: at one replication every round hands the whole active set
+    to one channel; with many, a round splits across channels."""
+
+    @pytest.mark.parametrize("kind", sorted(RUNNERS))
+    @pytest.mark.parametrize("n", [1, 12])
+    def test_channel_counts_sum_to_the_events(self, kind, n):
+        out = RUNNERS[kind](n)
+        counts = out.stats.channel_events
+        assert sum(counts.values()) == int(out.n_events.sum())
+        assert sum(v > 0 for v in counts.values()) >= 2
+
+
+class TestEventBudgetError:
+    @pytest.mark.parametrize("build", [_cluster, _service, _tenancy])
+    def test_names_the_first_row_out_of_budget(self, build):
+        full = build(JOBS * 2, n=12).run()["n_events"]
+        # Row 0 finishes on its last allowed event; the rows that need
+        # more are the ones the error counts.
+        budget = int(full[0])
+        over = np.flatnonzero(full > budget)
+        assert over.size
+        kernel = build(JOBS * 2, n=12)
+        kernel.max_events = budget
+        with pytest.raises(RuntimeError) as raised:
+            kernel.run()
+        msg = str(raised.value)
+        assert msg.startswith(
+            f"{over.size} replications unfinished after {budget} events"
+        )
+        m = re.search(r"first: kernel row (\d+) at now=(\S+)\)", msg)
+        assert int(m.group(1)) == over[0]
+        assert float(m.group(2)) == kernel.now[over[0]]
