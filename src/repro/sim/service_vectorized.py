@@ -445,9 +445,14 @@ class _ServiceKernel(_LockstepKernel):
         self.reap_seq[rr, col] = _SEQ_INF
 
     def _abort(self, rr: np.ndarray, jj: np.ndarray) -> None:
-        if np.any(self.attempts[rr, jj] >= self.cfg.max_attempts_per_job):
+        over = self.attempts[rr, jj] >= self.cfg.max_attempts_per_job
+        if over.any():
+            i = int(np.argmax(over))
+            first = int(rr[i])
             raise RuntimeError(
-                f"a job exceeded {self.cfg.max_attempts_per_job} attempts"
+                f"job {int(jj[i])} exceeded {self.cfg.max_attempts_per_job} "
+                f"attempts in {int(over.sum())} replications (first: kernel "
+                f"row {first} at now={float(self.now[first])!r})"
             )
         super()._abort(rr, jj)
 

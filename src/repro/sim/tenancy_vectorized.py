@@ -50,6 +50,13 @@ events — arrivals, VM deaths, segment completions, worker boots, idle
 reaps — resolve in per-replication ``(time, insertion sequence)``
 order.  Backfill has no tenancy equivalent (inter-tenant policies
 replace it) and is not part of the configuration.
+
+A bag arrival is the controller's ``submit_bag``: admission, then one
+submit and scheduling pass per member in declaration order.  The
+kernel keeps that sequence per replication but runs it for all rows
+that took an arrival in a round at once: one admission over the rows,
+then one scheduling pass per member *position* over the rows whose bag
+has that many members — rows at different bags share the pass.
 """
 
 from __future__ import annotations
@@ -396,18 +403,6 @@ class _TenancyKernel(_ServiceKernel):
         self.rank_of_by_home = np.empty_like(self.rank_by_home)
         for h in range(self.nP):
             self.rank_of_by_home[h, self.rank_by_home[h]] = np.arange(self.nP)
-        # Arrival-event compaction: the per-bag static bookkeeping
-        # (tenant column, job span, keys) as plain Python scalars, so
-        # each arrival event avoids per-field numpy indexing overhead.
-        self._bag_static = [
-            (
-                int(self.bag_tcol[k]),
-                int(self.bag_lo[k]),
-                int(self.bag_hi[k]),
-                [float(self.keys[j]) for j in range(self.bag_lo[k], self.bag_hi[k])],
-            )
-            for k in range(self.K)
-        ]
 
     # -- tenancy-aware policy plumbing -----------------------------------
     def _t0(self, rows: np.ndarray) -> None:
@@ -470,7 +465,9 @@ class _TenancyKernel(_ServiceKernel):
 
     # -- event rounds ----------------------------------------------------
     def _on_arr(self, rr: np.ndarray, _col: np.ndarray) -> None:
-        """Bag arrival events: admission, key activation, submit stalls."""
+        """Bag arrival events: admission, key activation, submit stalls —
+        one scheduling pass per member position (see the module
+        docstring)."""
         ks = self.aptr[rr]
         self.aptr[rr] += 1
         nxt = self.aptr[rr]
@@ -479,27 +476,22 @@ class _TenancyKernel(_ServiceKernel):
             done, np.inf, self.atime[np.minimum(nxt, self.K - 1)]
         )
         self.arr_seq[rr, 0] = np.where(done, _SEQ_INF, nxt)
-        for k in np.unique(ks):
-            rk = rr[ks == k]
-            t, lo, hi, keys = self._bag_static[k]
-            m = hi - lo
-            if self.cfg.admission_cap is not None:
-                unfinished = self.adm_tenant[rk, t] - self.done_tenant[rk, t]
-                admit = unfinished + m <= self.cfg.admission_cap
-            else:
-                admit = np.ones(rk.size, dtype=bool)
-            ra = rk[admit]
-            if not ra.size:
-                continue
-            self.adm_tenant[ra, t] += m
-            self.admitted_total[ra] += m
-            self.admitted[ra, lo:hi] = True
-            self.active_bags[ra] += 1
-            # One cluster.submit -> try_schedule per bag member, in
-            # declaration order — exactly the controller's submit_bag.
-            for j, key in zip(range(lo, hi), keys):
-                self.qkey[ra, j] = key
-                self._schedule_pass(ra)
+        t, lo, m = self.bag_tcol[ks], self.bag_lo[ks], self.bag_size[ks]
+        if self.cfg.admission_cap is not None:
+            unfinished = self.adm_tenant[rr, t] - self.done_tenant[rr, t]
+            admit = unfinished + m <= self.cfg.admission_cap
+            rr, t, lo, m = rr[admit], t[admit], lo[admit], m[admit]
+        if not rr.size:
+            return
+        self.adm_tenant[rr, t] += m
+        self.admitted_total[rr] += m
+        self.active_bags[rr] += 1
+        for i in range(int(m.max())):
+            live = m > i
+            ri, j = rr[live], lo[live] + i
+            self.admitted[ri, j] = True
+            self.qkey[ri, j] = self.keys[j]
+            self._schedule_pass(ri)
 
     def _job_done(self, rr: np.ndarray, jj: np.ndarray, gang: np.ndarray) -> None:
         # Tenant bookkeeping, then the service's release order (idle

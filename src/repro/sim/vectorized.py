@@ -429,7 +429,7 @@ class _LockstepKernel:
         self.evseq = np.zeros(n, dtype=np.int64)
         self.draw_k = np.zeros(n, dtype=np.int64)
         self.births = np.zeros(n, dtype=np.int64)
-        self.events = np.zeros(n, dtype=np.int64)
+        self.events = np.zeros(n, dtype=np.int64)  # set as a row finishes
         # Fused event table: the channels are attribute views (see
         # EventArena; dead columns hold death == inf).
         self._init_arena(n)
@@ -478,7 +478,7 @@ class _LockstepKernel:
         span_ends = np.asarray([hi for _, hi in spans.values()])
         n_rounds = 0
         while active.size:
-            _, pick = self._select_events(active)
+            _, pick = self._select_events(active, n_rounds)
             # Channel of each pick, and how many picks each channel got.
             ch = np.searchsorted(span_ends, pick, "right")
             counts = np.bincount(ch, minlength=len(channels)).tolist()
@@ -493,7 +493,9 @@ class _LockstepKernel:
                     hit = ch == c
                     handle(active[hit], pick[hit] - lo)
             done = self._finished(active)
-            self.makespan[active[done]] = self.now[active[done]]
+            fin = active[done]
+            self.makespan[fin] = self.now[fin]
+            self.events[fin] = n_rounds + 1
             active = active[~done]
             n_rounds += 1
         # Bill VMs still alive at each replication's end; pending boots
@@ -560,13 +562,20 @@ class _LockstepKernel:
             setattr(self, t_attr, t_view)
             setattr(self, s_attr, s_view)
 
-    def _select_events(self, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Budget-checked earliest-event pick; advances ``now``/``events``."""
-        spent = self.events[active] >= self.max_events
-        if spent.any():
-            first = int(active[np.argmax(spent)])
+    def _select_events(
+        self, active: np.ndarray, n_rounds: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Budget-checked earliest-event pick; advances ``now``.
+
+        Rows only ever leave ``active`` and each active row takes one
+        event per round, so every active row has taken ``n_rounds``
+        events: the budget is one scalar test, and ``run`` writes a
+        row's ``events`` count once, as the row finishes.
+        """
+        if n_rounds >= self.max_events:
+            first = int(active[0])
             raise RuntimeError(
-                f"{int(spent.sum())} replications unfinished after "
+                f"{active.size} replications unfinished after "
                 f"{self.max_events} events (first: kernel row {first} at "
                 f"now={float(self.now[first])!r}); the {self._budget_what} "
                 "cannot finish under this lifetime law / configuration"
@@ -578,7 +587,6 @@ class _LockstepKernel:
                 "has pending work but no pending events"
             )
         self.now[active] = tmin
-        self.events[active] += 1
         return tmin, pick
 
     # -- pools and boots -------------------------------------------------

@@ -6,7 +6,11 @@ first VM column, so the fused event table's width is a function of the
 fleet alone — never of how many jobs the workload holds — and every
 slot is empty again once a replication has finished.  The gang order
 :meth:`_LockstepKernel._oldest` is pinned here against the three-pass
-stable argsort chain it replaces.
+stable argsort chain it replaces.  The tenancy kernel's batched bag
+arrivals — one scheduling pass per member position across every row
+that arrived in a round — are pinned against the per-bag loop they
+replace, and the service-family max-attempts error must name its job
+and first row.
 """
 
 from __future__ import annotations
@@ -19,12 +23,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.distributions.exponential import ExponentialDistribution
+from repro.distributions.uniform import UniformLifetimeDistribution
+from repro.obs import MetricsRegistry
 from repro.sim.backend import (
     run_cluster_replications,
     run_service_replications,
     run_tenant_replications,
 )
 from repro.sim.cluster_vectorized import ClusterConfig, GangJob, _ClusterKernel
+from repro.sim.placement import PoolSpec
 from repro.sim.service_vectorized import ServiceBatchConfig, _ServiceKernel
 from repro.sim.tenancy_vectorized import (
     BagSubmission,
@@ -244,3 +251,209 @@ class TestEventBudgetError:
         m = re.search(r"first: kernel row (\d+) at now=(\S+)\)", msg)
         assert int(m.group(1)) == over[0]
         assert float(m.group(2)) == kernel.now[over[0]]
+
+
+class TestMaxAttemptsError:
+    @pytest.mark.parametrize("build", [_service, _tenancy])
+    def test_names_the_job_and_the_first_row(self, build):
+        limit = 3
+        # Unlimited run: every abort's rows, jobs, attempts and clocks.
+        # State is the same up to the abort that trips the limit.
+        kernel = build(JOBS * 2, n=12)
+        aborts = []
+        abort = kernel._abort
+
+        def spy(rr, jj):
+            aborts.append(
+                (rr.copy(), jj.copy(), kernel.attempts[rr, jj], kernel.now[rr])
+            )
+            abort(rr, jj)
+
+        kernel._abort = spy
+        kernel.run()
+        rr, jj, attempts, now = next(a for a in aborts if (a[2] >= limit).any())
+        over = attempts >= limit
+        i = int(np.argmax(over))
+        kernel = build(JOBS * 2, n=12, max_attempts_per_job=limit)
+        with pytest.raises(RuntimeError) as raised:
+            kernel.run()
+        msg = str(raised.value)
+        assert msg.startswith(
+            f"job {jj[i]} exceeded {limit} attempts in {over.sum()} replications"
+        )
+        m = re.search(r"first: kernel row (\d+) at now=(\S+)\)", msg)
+        assert int(m.group(1)) == rr[i]
+        assert float(m.group(2)) == now[i]
+
+
+class _PerBagArrivals(_TenancyKernel):
+    """The arrival handler before batching: admission and one pass per
+    member, run separately for each bag index among the arrived rows."""
+
+    def _on_arr(self, rr, _col):
+        ks = self.aptr[rr]
+        self.aptr[rr] += 1
+        nxt = self.aptr[rr]
+        done = nxt >= self.K
+        self.arr_time[rr, 0] = np.where(
+            done, np.inf, self.atime[np.minimum(nxt, self.K - 1)]
+        )
+        self.arr_seq[rr, 0] = np.where(done, _SEQ_INF, nxt)
+        for k in np.unique(ks):
+            rk = rr[ks == k]
+            t, lo, hi = int(self.bag_tcol[k]), int(self.bag_lo[k]), int(self.bag_hi[k])
+            m = hi - lo
+            if self.cfg.admission_cap is not None:
+                unfinished = self.adm_tenant[rk, t] - self.done_tenant[rk, t]
+                admit = unfinished + m <= self.cfg.admission_cap
+            else:
+                admit = np.ones(rk.size, dtype=bool)
+            ra = rk[admit]
+            if not ra.size:
+                continue
+            self.adm_tenant[ra, t] += m
+            self.admitted_total[ra] += m
+            self.admitted[ra, lo:hi] = True
+            self.active_bags[ra] += 1
+            for j in range(lo, hi):
+                self.qkey[ra, j] = float(self.keys[j])
+                self._schedule_pass(ra)
+
+
+class _CountedArrivals(_TenancyKernel):
+    """The batched kernel, logging per arrival round the scheduling
+    passes it made, the largest bag among its rows and how many bags
+    those rows were at."""
+
+    _passes = None
+
+    def _on_arr(self, rr, col):
+        ks = self.aptr[rr]
+        self._passes = 0
+        super()._on_arr(rr, col)
+        self.arrival_log.append(
+            (self._passes, int(self.bag_size[ks].max()), np.unique(ks).size)
+        )
+        self._passes = None
+
+    def _schedule_pass(self, rr):
+        if self._passes is not None:
+            self._passes += 1
+        super()._schedule_pass(rr)
+
+
+ARRIVAL_POOLS = (
+    PoolSpec("mid", 1, dist=UniformLifetimeDistribution(8.0), price=0.5),
+    PoolSpec("cheap-flaky", 2, dist=UniformLifetimeDistribution(3.0), price=0.2),
+    PoolSpec("pricey-stable", 1, dist=UniformLifetimeDistribution(24.0), price=1.0),
+)
+
+
+@st.composite
+def _arrival_cases(draw):
+    """Random traffic of 1-4-job bags over few distinct instants (so
+    bags share arrival times), plus a random tenancy configuration."""
+    job = st.tuples(st.sampled_from([0.2, 0.4, 0.7]), st.integers(1, 3))
+    bags = draw(st.lists(
+        st.tuples(
+            st.integers(0, 2),
+            st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.6]),
+            st.lists(job, min_size=1, max_size=4),
+        ),
+        min_size=2,
+        max_size=8,
+    ))
+    traffic = tuple(
+        BagSubmission(t, at, tuple(GangJob(w, g) for w, g in jobs))
+        for t, at, jobs in sorted(bags, key=lambda b: b[1])
+    )
+    cfg = dict(
+        max_vms=4,
+        scheduling=draw(st.sampled_from(["fifo", "fair", "weighted"])),
+        admission_cap=draw(st.sampled_from([None, 2, 4])),
+        elastic_vms_per_bag=draw(st.sampled_from([None, 3])),
+        hot_spare_hours=draw(st.sampled_from([1.0, 0.05])),
+        provision_latency=draw(st.sampled_from([0.0, 0.1, 0.1])),
+    )
+    if cfg["scheduling"] == "weighted":
+        cfg["tenant_weights"] = (1.0, 2.0, 0.5)
+    if draw(st.booleans()):
+        cfg["pools"] = ARRIVAL_POOLS
+        cfg["allocator"] = draw(st.sampled_from(["first_fit", "tenant_affinity"]))
+    return traffic, cfg, draw(st.integers(2, 12)), draw(st.integers(0, 99))
+
+
+def _run_arrivals(kernel_cls, traffic, cfg, n, seed):
+    """``(raw outputs or the raised error, obs counters, kernel)``."""
+    obs = MetricsRegistry()
+    kernel = kernel_cls(
+        DIST, traffic, 3, TenancyConfig(**cfg), n,
+        np.random.default_rng(seed), 100_000, obs=obs,
+    )
+    kernel.arrival_log = []
+    try:
+        raw = kernel.run()
+    except RuntimeError as exc:
+        raw = f"{type(exc).__name__}: {exc}"
+    return raw, obs.snapshot().counters, kernel
+
+
+def _assert_batching_matches(traffic, cfg, n, seed):
+    """The batched kernel reproduces the per-bag loop byte for byte
+    and makes at most (largest bag) passes per arrival round; returns
+    its arrival log."""
+    want, want_counts, _ = _run_arrivals(_PerBagArrivals, traffic, cfg, n, seed)
+    got, got_counts, kernel = _run_arrivals(_CountedArrivals, traffic, cfg, n, seed)
+    assert got_counts == want_counts
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            a, b = np.asarray(value), np.asarray(got[name])
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+    for passes, largest, _ in kernel.arrival_log:
+        assert passes <= largest
+    return kernel.arrival_log
+
+
+#: Twelve bags of 1-4 jobs from three tenants, two per instant, so
+#: replications reach different bags in the same round.
+BURSTY = tuple(
+    BagSubmission(k % 3, 0.1 * (k // 2) + 0.6 * (k // 4), tuple(_bag(1 + k % 4)))
+    for k in range(12)
+)
+#: One-job bags far enough apart that each finds no other bag active.
+SPACED = tuple(
+    BagSubmission(k % 3, 0.5 * k, (GangJob(0.3, 3 - k % 2),)) for k in range(6)
+)
+
+
+class TestArrivalBatching:
+    @settings(max_examples=40, deadline=None)
+    @given(case=_arrival_cases())
+    def test_matches_the_per_bag_loop(self, case):
+        _assert_batching_matches(*case)
+
+    # Each fixed case shows one misordering the random cases reach only
+    # rarely: warm spares let the first member inserted start at once
+    # (member order), a boot latency makes every pass's provisioning
+    # show (one pass per member), and an elastic cap with no other bag
+    # active binds a pass that runs before its bag is counted active.
+    @pytest.mark.parametrize(
+        "traffic, cfg",
+        [
+            (BURSTY, dict(scheduling="weighted", tenant_weights=(1.0, 2.0, 0.5),
+                          elastic_vms_per_bag=3)),
+            (BURSTY, dict(scheduling="fair", admission_cap=6,
+                          provision_latency=0.1, hot_spare_hours=0.05)),
+            (SPACED, dict(elastic_vms_per_bag=3, provision_latency=0.1,
+                          hot_spare_hours=0.05)),
+        ],
+        ids=["member-order", "pass-per-member", "admission-first"],
+    )
+    def test_fixed_cases(self, traffic, cfg):
+        log = _assert_batching_matches(traffic, dict(max_vms=4, **cfg), 16, 3)
+        if traffic is BURSTY:
+            assert any(bags > 1 for _, _, bags in log)

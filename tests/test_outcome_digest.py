@@ -5,11 +5,14 @@ two checkouts print the same file or they differ.  That evidence only
 holds if a case digests to the same value every time it runs, and if
 different cases digest differently.  A few grid cases — every kernel,
 both fleet kinds, both checkpoint kinds and one raising case — are run
-twice here through the tool's own ``case_digest``.
+twice here through the tool's own ``case_digest``, and through its
+per-field ``field_digests``, whose lines must cover every outcome
+array, counter and gauge field of a case.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import re
 from pathlib import Path
@@ -63,3 +66,47 @@ class TestCaseDigest:
                 assert "replications unfinished after 50 events" in note
             else:
                 assert note == ""
+
+
+@pytest.fixture(scope="module")
+def fields():
+    """``name -> [lines, lines]``: each case's field digests, run twice."""
+    return {
+        name: [outcome_digest.field_digests(*GRID[name]) for _ in range(2)]
+        for name in CASES
+    }
+
+
+class TestFieldDigests:
+    @pytest.mark.parametrize("name", CASES)
+    def test_repeat_runs_agree(self, fields, name):
+        lines, again = fields[name]
+        assert all(HEX64.fullmatch(sha) for sha, _ in lines)
+        assert lines == again
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_lines_cover_every_field(self, fields, name):
+        out, snap, note = outcome_digest._run(*GRID[name])
+        got = [field for _, field in fields[name][0]]
+        assert len(got) == len(set(got))
+        if note:
+            assert got == [f"error  {note}"]
+            return
+        want = {f.name for f in dataclasses.fields(out)} - {"stats", "backend"}
+        want |= {f"counter.{c}" for c in snap.counters}
+        want |= {
+            f"gauge.{g}.{k}"
+            for g, items in snap.gauges.items()
+            if not g.startswith("proc.")
+            for k in items
+        }
+        assert set(got) == want
+
+    def test_main_prints_one_line_per_field(self, monkeypatch, capsys, fields, digests):
+        name = CASES[1]
+        monkeypatch.setattr(outcome_digest, "_grid", lambda: [(name, *GRID[name])])
+        assert outcome_digest.main(["--fields"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"{sha}  {name}  {field}" for sha, field in fields[name][0]]
+        assert outcome_digest.main([]) == 0
+        assert capsys.readouterr().out == f"{digests[name][0][0]}  {name}\n"

@@ -17,10 +17,20 @@ livelock, max attempts, event budget) — so two checkouts can be
 compared with a plain ``diff`` of their output: a refactor that claims
 byte-identical outcomes must print the same file.  The whole grid runs
 in well under a minute on one core.
+
+With ``--fields`` the tool prints one line per outcome array, counter
+and gauge field of each case instead, ``<sha256>  <case>  <field>``
+(fields such as ``makespan``, ``counter.events.arr`` or
+``gauge.livelock.peak_streak.n_samples``; a raising case has the one
+field ``error``, followed by its message), so a ``diff`` of two such
+files names the field that moved::
+
+    PYTHONPATH=src python tools/outcome_digest.py --fields > fields.txt
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import itertools
@@ -127,43 +137,91 @@ def _grid():
            [(3.0, 3)], {"pool_size": 3, "max_events": 50})
 
 
-def _feed_array(h, name: str, value) -> None:
+def _array_bytes(name: str, value) -> bytes:
     a = np.ascontiguousarray(value)
-    h.update(f"{name}|{a.dtype.str}|{a.shape}|".encode())
-    h.update(a.tobytes())
+    return f"{name}|{a.dtype.str}|{a.shape}|".encode() + a.tobytes()
 
 
-def case_digest(fn, dist, workload, cfg: dict) -> tuple[str, str]:
-    """``(sha256, note)`` of one case; ``note`` names a raised error."""
+def _run(fn, dist, workload, cfg: dict):
+    """``(outcomes, obs snapshot, note)`` of one case; a case that
+    raises gives ``(None, None, note)`` with ``note`` naming the error."""
     inst = Instrumentation()
-    h = hashlib.sha256()
     try:
         out = fn(
             dist, workload, n_replications=N_REPLICATIONS, seed=SEED,
             instrument=inst, **cfg,
         )
     except RuntimeError as exc:  # the kernels' failures are outcomes too
-        note = f"raises {type(exc).__name__}: {exc}"
-        h.update(note.encode())
-        return h.hexdigest(), note
-    for f in dataclasses.fields(out):
-        if f.name not in ("stats", "backend"):
-            _feed_array(h, f.name, getattr(out, f.name))
-    snap = inst.registry.snapshot()
+        return None, None, f"raises {type(exc).__name__}: {exc}"
+    return out, inst.registry.snapshot(), ""
+
+
+def _parts(out, snap, split_gauges: bool) -> list[tuple[str, bytes]]:
+    """``(field, bytes)`` the digests hash: every outcome array, every
+    counter and every gauge — one part per gauge, or with
+    ``split_gauges`` one per gauge field (``max``, ``n_samples``, ...)."""
+    parts = [
+        (f.name, _array_bytes(f.name, getattr(out, f.name)))
+        for f in dataclasses.fields(out)
+        if f.name not in ("stats", "backend")
+    ]
     for name in sorted(snap.counters):
-        h.update(f"counter|{name}|{snap.counters[name]!r}\n".encode())
+        line = f"counter|{name}|{snap.counters[name]!r}\n"
+        parts.append((f"counter.{name}", line.encode()))
     for name in sorted(snap.gauges):
         if name.startswith("proc."):
             continue  # host-local (RSS)
-        g = snap.gauges[name]
-        h.update(f"gauge|{name}|{sorted(g.items())!r}\n".encode())
+        items = sorted(snap.gauges[name].items())
+        if split_gauges:
+            parts += [
+                (f"gauge.{name}.{k}", f"gauge|{name}|{k}|{v!r}\n".encode())
+                for k, v in items
+            ]
+        else:
+            parts.append((f"gauge.{name}", f"gauge|{name}|{items!r}\n".encode()))
+    return parts
+
+
+def case_digest(fn, dist, workload, cfg: dict) -> tuple[str, str]:
+    """``(sha256, note)`` of one case; ``note`` names a raised error."""
+    out, snap, note = _run(fn, dist, workload, cfg)
+    h = hashlib.sha256()
+    if note:
+        h.update(note.encode())
+        return h.hexdigest(), note
+    for _, data in _parts(out, snap, split_gauges=False):
+        h.update(data)
     return h.hexdigest(), ""
 
 
-def main() -> int:
+def field_digests(fn, dist, workload, cfg: dict) -> list[tuple[str, str]]:
+    """``(sha256, field)`` per outcome array, counter and gauge field of
+    one case; a case that raises has the one field ``error  <note>``."""
+    out, snap, note = _run(fn, dist, workload, cfg)
+    if note:
+        return [(hashlib.sha256(note.encode()).hexdigest(), f"error  {note}")]
+    return [
+        (hashlib.sha256(data).hexdigest(), field)
+        for field, data in _parts(out, snap, split_gauges=True)
+    ]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--fields",
+        action="store_true",
+        help="one line per outcome array, counter and gauge field of "
+        "each case, so a diff names the field that moved",
+    )
+    args = parser.parse_args(argv)
     for name, *case in _grid():
-        sha, note = case_digest(*case)
-        sys.stdout.write(f"{sha}  {name}{'  ' + note if note else ''}\n")
+        if args.fields:
+            lines = [f"{sha}  {name}  {field}" for sha, field in field_digests(*case)]
+        else:
+            sha, note = case_digest(*case)
+            lines = [f"{sha}  {name}{'  ' + note if note else ''}"]
+        sys.stdout.write("".join(line + "\n" for line in lines))
     return 0
 
 
