@@ -85,7 +85,7 @@ import numpy as np
 
 from repro.distributions.base import LifetimeDistribution
 from repro.sim.placement import PoolSpec, make_allocator
-from repro.sim.vectorized import _LockstepKernel
+from repro.sim.vectorized import _join, _LockstepKernel, _order_key
 from repro.utils.validation import check_nonnegative, check_positive
 
 __all__ = ["GangJob", "ClusterConfig", "simulate_cluster_vectorized"]
@@ -227,6 +227,8 @@ class _ClusterKernel(_LockstepKernel):
         obs=None,
     ):
         self.P = config.pool_size
+        # The judgment of the hot-spare replacement's pass (_vm_lost).
+        self._spare_stuck = None
         super().__init__(
             dist, jobs, config, n_replications, rng, max_events, obs,
             fleet_cap=config.pool_size,
@@ -242,8 +244,7 @@ class _ClusterKernel(_LockstepKernel):
         """Boot the pool (draws in slot order), submit the bag FIFO."""
         for _ in range(self.P):
             self._boot(rows)
-        self._schedule_pass(rows)
-        self._refresh_loop(rows)
+        self._refresh_loop(self._schedule_pass(rows))
 
     def _boot(self, rr: np.ndarray) -> None:
         """Boot one fresh VM per row, instantly."""
@@ -265,17 +266,34 @@ class _ClusterKernel(_LockstepKernel):
             self.vm_pool[rr][:, None, :],
         )
 
-    def _refresh_loop(self, rr: np.ndarray) -> None:
-        """Stall handling: refresh/boot one VM at a time until unstuck."""
-        while rr.size:
-            rr, head, w, suit, free = self._head_state(rr)
-            if not rr.size:
-                return
+    def _schedule_pass(self, rr: np.ndarray):
+        """The fleet core's pass — the cluster has no stall action —
+        returning the judgment ``(rr, head, width, suit, free)`` of the
+        rows it leaves stuck, or ``None``.
+
+        That is the judgment :meth:`_start_heads` made, unless a
+        backfill scan then moved VMs: only then are the rows judged
+        again.
+        """
+        stuck = self._start_heads(rr)
+        if stuck is not None and self.backfill and self._backfill_scan(stuck[0]):
+            stuck = self._head_state(stuck[0])
+        return stuck
+
+    def _refresh_loop(self, stuck) -> None:
+        """Stall handling: refresh/boot one VM at a time until unstuck.
+
+        Each iteration acts on the judgment ``stuck`` that the
+        scheduling pass before it left, then runs the next pass.
+        """
+        while stuck is not None:
+            rr, _, w, suit, free = stuck
             n_suit = suit.sum(axis=1)
             unsuitable = free & ~suit
             n_unsuit = unsuitable.sum(axis=1)
             n_empty = self.P - self.alive[rr].sum(axis=1)
-            need = (n_suit < w) & (n_suit + n_unsuit + n_empty >= w)
+            # A stuck head has n_suit < w: refresh where capacity allows.
+            need = n_suit + n_unsuit + n_empty >= w
             rr, unsuitable, n_unsuit = rr[need], unsuitable[need], n_unsuit[need]
             if not rr.size:
                 return
@@ -285,14 +303,14 @@ class _ClusterKernel(_LockstepKernel):
             if ru.size:
                 if self.obs is not None:
                     self.obs.inc("stall.terminations", int(ru.size))
-                col = self._oldest(unsuitable[has_u], ru, self._rank_cols(ru))[:, 0]
-                self._retire(ru, col, self.now[ru][:, None])
+                key = _order_key(self.birth[ru], unsuitable[has_u], self._rank_cols(ru))
+                self._retire(ru, np.argmin(key, axis=1), self.now[ru][:, None])
                 self._boot(ru)
             # ...else re-boot an empty pool slot.
             rb = rr[~has_u]
             if rb.size:
                 self._boot(rb)
-            self._schedule_pass(rr)
+            stuck = self._schedule_pass(rr)
 
     # -- event rounds ----------------------------------------------------
     def _vm_lost(self, rr: np.ndarray, col: np.ndarray) -> None:
@@ -302,15 +320,24 @@ class _ClusterKernel(_LockstepKernel):
             # the queue gets a crack at the replacement — exactly the
             # harness's add_node -> try_schedule ordering.
             self._boot(rr)
-            self._schedule_pass(rr)
+            self._spare_stuck = self._schedule_pass(rr)
 
     def _on_death(self, rr: np.ndarray, col: np.ndarray) -> None:
-        rb = super()._on_death(rr, col)
-        self._refresh_loop(rr if self.cfg.hot_spare else rb)
+        rb, stuck = super()._on_death(rr, col)
+        spare = self._spare_stuck  # None without hot spares
+        if spare is not None:
+            # The replacement's pass judged every row; a row that then
+            # lost its gang was judged again by its own pass.
+            if rb.size:
+                lost = np.zeros(self.n, dtype=bool)
+                lost[rb] = True
+                keep = ~lost[spare[0]]
+                spare = tuple(a[keep] for a in spare)
+            stuck = _join([spare] if stuck is None else [spare, stuck])
+        self._refresh_loop(stuck)
 
     def _job_done(self, rr: np.ndarray, jj: np.ndarray, gang: np.ndarray) -> None:
-        self._schedule_pass(rr)
-        self._refresh_loop(rr)
+        self._refresh_loop(self._schedule_pass(rr))
 
 
 def simulate_cluster_vectorized(

@@ -325,8 +325,12 @@ class _ServiceKernel(_LockstepKernel):
                 sub, None if rank_rows is None else rank_rows[live]
             )
             empty = self.bseq[sub] == _SEQ_INF
-            if not empty.any(axis=1).all():
-                raise RuntimeError("no free boot slot; provisioning invariant violated")
+            ok = empty.any(axis=1)
+            if not ok.all():
+                raise RuntimeError(
+                    "no free boot slot; provisioning invariant violated "
+                    + self._first(sub, ~ok)
+                )
             slot = np.argmax(empty, axis=1)
             self.btime[sub, slot] = self.now[sub] + self.latency[pool]
             self.bseq[sub, slot] = self.evseq[sub]
@@ -336,9 +340,20 @@ class _ServiceKernel(_LockstepKernel):
         self.provisioning[rr] += k
 
     def _cancel_reaps(self, rr: np.ndarray, cols: np.ndarray) -> None:
-        """Cancel the retention timers of the ``cols`` mask."""
-        self.reap_time[rr] = np.where(cols, np.inf, self.reap_time[rr])
-        self.reap_seq[rr] = np.where(cols, _SEQ_INF, self.reap_seq[rr])
+        """Cancel the retention timers of the ``cols`` mask.
+
+        Only the rows where a ``cols`` VM holds a pending timer are
+        rewritten; a cell without one already holds ``inf`` /
+        ``_SEQ_INF`` (the arena invariant).
+        """
+        seqs = self.reap_seq[rr]
+        hit = cols & (seqs != _SEQ_INF)
+        rows = hit.any(axis=1)
+        if not rows.any():
+            return
+        rh, hit = rr[rows], hit[rows]
+        self.reap_time[rh] = np.where(hit, np.inf, self.reap_time[rh])
+        self.reap_seq[rh] = np.where(hit, _SEQ_INF, seqs[rows])
 
     def _on_start(self, rr: np.ndarray, jj: np.ndarray, sel: np.ndarray) -> None:
         self.stall_strikes[rr] = 0  # a job is starting: real progress
@@ -447,18 +462,16 @@ class _ServiceKernel(_LockstepKernel):
     def _abort(self, rr: np.ndarray, jj: np.ndarray) -> None:
         over = self.attempts[rr, jj] >= self.cfg.max_attempts_per_job
         if over.any():
-            i = int(np.argmax(over))
-            first = int(rr[i])
             raise RuntimeError(
-                f"job {int(jj[i])} exceeded {self.cfg.max_attempts_per_job} "
-                f"attempts in {int(over.sum())} replications (first: kernel "
-                f"row {first} at now={float(self.now[first])!r})"
+                f"job {int(jj[np.argmax(over)])} exceeded "
+                f"{self.cfg.max_attempts_per_job} attempts in "
+                f"{int(over.sum())} replications {self._first(rr, over)}"
             )
         super()._abort(rr, jj)
 
     def _schedule_reaps(self, rr: np.ndarray, released: np.ndarray) -> None:
         """Retention timers for a released gang, in free-pool order
-        (pool rank, then launch/birth)."""
+        (pool rank, then age; see :meth:`_oldest`)."""
         order = self._oldest(released, rr, self._rank_cols(rr))
         ranks = np.zeros((rr.size, self.S), dtype=np.int64)
         np.put_along_axis(

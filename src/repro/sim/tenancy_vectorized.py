@@ -69,7 +69,7 @@ from repro.distributions.base import LifetimeDistribution
 from repro.sim.cluster_vectorized import GangJob, check_fleet_config
 from repro.sim.placement import PoolSpec, make_allocator
 from repro.sim.service_vectorized import _ServiceKernel
-from repro.sim.vectorized import _INT64_MAX, _SEQ_INF
+from repro.sim.vectorized import _SEQ_INF
 from repro.utils.validation import check_nonnegative, check_positive
 
 __all__ = [
@@ -450,11 +450,9 @@ class _TenancyKernel(_ServiceKernel):
             return None
         if jj is None:
             return super()._rank_cols(rr)
-        vp = self.vm_pool[rr]
-        ranks = self.rank_of_by_home[
-            self.job_home[jj][:, None], np.clip(vp, 0, None)
+        return self.rank_of_by_home[
+            self.job_home[jj][:, None], np.clip(self.vm_pool[rr], 0, None)
         ]
-        return np.where(vp >= 0, ranks, _INT64_MAX)
 
     def _pool_rank_rows(
         self, rr: np.ndarray, jj: np.ndarray

@@ -65,6 +65,38 @@ _SEQ_INF = _INT64_MAX
 #: Residual-work threshold below which a segment is final (the
 #: ``JobExecution._clip_segments`` tolerance).
 _RESIDUAL = 1e-12
+#: Bits of a gang-order key below the allocator rank: a row's birth
+#: counter (one per VM it ever boots) stays far below ``2**40``.
+_RANK_SHIFT = 40
+
+
+def _order_key(birth: np.ndarray, mask: np.ndarray, rank: np.ndarray | None = None):
+    """One int64 gang-order key per VM column, ``_INT64_MAX`` off ``mask``.
+
+    The key is ``(rank, birth)`` packed as ``rank << _RANK_SHIFT |
+    birth`` (``birth`` alone when ``rank`` is ``None``).  Within a row
+    births are distinct, so the ``mask`` cells' keys are too.
+    """
+    key = birth if rank is None else (rank << _RANK_SHIFT) | birth
+    return np.where(mask, key, _INT64_MAX)
+
+
+def _lowest(key: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Mask of each row's ``w`` smallest keys.
+
+    A row's finite keys are distinct and at least ``w`` of them are
+    finite, so these are the cells at or below the row's ``w``-th
+    smallest key — one sort, no scatter.
+    """
+    kth = np.sort(key, axis=1)[np.arange(key.shape[0]), w - 1]
+    return key <= kth[:, None]
+
+
+def _join(parts: list[tuple]) -> tuple | None:
+    """One stuck-head judgment from several over disjoint rows."""
+    if len(parts) < 2:
+        return parts[0] if parts else None
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 class EventArena:
@@ -433,8 +465,8 @@ class _LockstepKernel:
         # Fused event table: the channels are attribute views (see
         # EventArena; dead columns hold death == inf).
         self._init_arena(n)
-        # VM columns (storage slots; ordering is (pool rank, launch,
-        # birth) — (launch, birth) alone with a single pool).
+        # VM columns (storage slots; gang order is (pool rank, birth) —
+        # birth alone with a single pool; see _oldest).
         self.alive = np.zeros((n, S), dtype=bool)
         self.launch = np.zeros((n, S))
         self.birth = np.full((n, S), -1, dtype=np.int64)
@@ -573,12 +605,11 @@ class _LockstepKernel:
         row's ``events`` count once, as the row finishes.
         """
         if n_rounds >= self.max_events:
-            first = int(active[0])
             raise RuntimeError(
                 f"{active.size} replications unfinished after "
-                f"{self.max_events} events (first: kernel row {first} at "
-                f"now={float(self.now[first])!r}); the {self._budget_what} "
-                "cannot finish under this lifetime law / configuration"
+                f"{self.max_events} events {self._first(active)}; the "
+                f"{self._budget_what} cannot finish under this lifetime "
+                "law / configuration"
             )
         tmin, pick = self._ev.select(active)
         if not np.all(np.isfinite(tmin)):
@@ -588,6 +619,13 @@ class _LockstepKernel:
             )
         self.now[active] = tmin
         return tmin, pick
+
+    def _first(self, rr: np.ndarray, bad: np.ndarray | None = None) -> str:
+        """``(first: kernel row R at now=T)`` — the first ``bad`` row of
+        ``rr`` (its first row when ``bad`` is ``None``), as the guard
+        errors name it."""
+        row = int(rr[0 if bad is None else np.argmax(bad)])
+        return f"(first: kernel row {row} at now={float(self.now[row])!r})"
 
     # -- pools and boots -------------------------------------------------
     def _boot_pool(
@@ -610,14 +648,17 @@ class _LockstepKernel:
             occ[:, p] += (al & (vp == p)).sum(axis=1)
         headroom = self.pool_sizes[None, :] - occ
         if rank_rows is None:
-            ranked = headroom[:, self.rank]
-            if not (ranked > 0).any(axis=1).all():
-                raise RuntimeError("no pool headroom; fleet invariant violated")
-            return self.rank[np.argmax(ranked > 0, axis=1)]
-        ranked = np.take_along_axis(headroom, rank_rows, axis=1)
-        if not (ranked > 0).any(axis=1).all():
-            raise RuntimeError("no pool headroom; fleet invariant violated")
-        first = np.argmax(ranked > 0, axis=1)
+            room = headroom[:, self.rank] > 0
+        else:
+            room = np.take_along_axis(headroom, rank_rows, axis=1) > 0
+        ok = room.any(axis=1)
+        if not ok.all():
+            raise RuntimeError(
+                f"no pool headroom; fleet invariant violated {self._first(rr, ~ok)}"
+            )
+        first = np.argmax(room, axis=1)
+        if rank_rows is None:
+            return self.rank[first]
         return rank_rows[np.arange(rr.size), first]
 
     def _pool_ppf(self, u: np.ndarray, pool: np.ndarray) -> np.ndarray:
@@ -637,22 +678,33 @@ class _LockstepKernel:
         """Allocator rank of each VM column (``None`` with one pool).
 
         ``jj`` is the job being placed; the static ranking is
-        job-independent, the tenancy kernel refines it per tenant.
+        job-independent, the tenancy kernel refines it per tenant.  A
+        never-used column (pool ``-1``) is alive in no row, so it lies
+        outside every mask its rank is read under.
         """
         if self.nP == 1:
             return None
-        vp = self.vm_pool[rr]
-        return np.where(vp >= 0, self.rank_of[np.clip(vp, 0, None)], _INT64_MAX)
+        return self.rank_of[np.clip(self.vm_pool[rr], 0, None)]
 
     def _add_vm(self, rr: np.ndarray, pool: np.ndarray) -> None:
         """One fresh VM joins each row in ``pool``: draw its lifetime,
-        fill the first empty column, schedule its death."""
+        fill the first empty column, schedule its death.
+
+        The only writer of ``launch`` and ``birth``: it stamps the row's
+        clock, which never goes down, and the row's next birth number,
+        so a row's births are distinct and ``launch`` is non-decreasing
+        in ``birth`` — the invariant the gang order rests on.
+        """
         u = self.table.gather(rr, self.draw_k[rr])
         self.draw_k[rr] += 1
         life = self._pool_ppf(u, pool)
         empty = ~self.alive[rr] & (self.vm_job[rr] == -1)
-        if not empty.any(axis=1).all():
-            raise RuntimeError("no reusable VM column; fleet invariant violated")
+        ok = empty.any(axis=1)
+        if not ok.all():
+            raise RuntimeError(
+                "no reusable VM column; fleet invariant violated "
+                + self._first(rr, ~ok)
+            )
         col = np.argmax(empty, axis=1)  # first reusable column
         self.launch[rr, col] = self.now[rr]
         self.death[rr, col] = self.now[rr] + life
@@ -783,21 +835,16 @@ class _LockstepKernel:
                     break
             self._start_job(rr, head, suit)
             # Loop: the next queue head may start in the same instant.
-        if len(stuck) < 2:
-            return stuck[0] if stuck else None
-        return tuple(np.concatenate(part) for part in zip(*stuck))
+        return _join(stuck)
 
     def _stall_actions(self, rr, head, w, suit, free) -> None:
         """What a stuck queue head triggers within a scheduling pass."""
 
     def _start_job(self, rr: np.ndarray, jj: np.ndarray, suit: np.ndarray) -> None:
         """Start job ``jj`` on its ``width`` oldest suitable VMs per row
-        (pool rank first, then launch/birth age)."""
-        w = self.width[jj]
-        order = self._oldest(suit, rr, self._rank_cols(rr, jj))
-        pos = np.arange(self.S)[None, :] < w[:, None]
-        sel = np.zeros((rr.size, self.S), dtype=bool)
-        np.put_along_axis(sel, order, pos, axis=1)
+        (pool rank first, then age; see :meth:`_oldest`)."""
+        key = _order_key(self.birth[rr], suit, self._rank_cols(rr, jj))
+        sel = _lowest(key, self.width[jj])
         self._on_start(rr, jj, sel)
         self.vm_job[rr] = np.where(sel, jj[:, None], self.vm_job[rr])
         self.qkey[rr, jj] = np.inf
@@ -814,8 +861,9 @@ class _LockstepKernel:
     def _on_start(self, rr: np.ndarray, jj: np.ndarray, sel: np.ndarray) -> None:
         """Policy bookkeeping as job ``jj`` takes the VMs ``sel``."""
 
-    def _backfill_scan(self, rr: np.ndarray) -> None:
-        """Start jobs behind a stuck head, in queue order (unreserved).
+    def _backfill_scan(self, rr: np.ndarray) -> bool:
+        """Start jobs behind a stuck head, in queue order (unreserved);
+        whether any started.
 
         Mirrors the ``ClusterManager.try_schedule`` scan past the stuck
         head: each iteration starts, per row, the lowest-queue-key job
@@ -826,6 +874,7 @@ class _LockstepKernel:
         unstartable afterwards.  The stuck head is excluded by the same
         width test that stalled it.
         """
+        started = False
         while rr.size:
             free = self.alive[rr] & (self.vm_job[rr] == -1)
             suit = self._backfill_suit(rr, free)
@@ -834,11 +883,13 @@ class _LockstepKernel:
             has = startable.any(axis=1)
             rr, startable, suit = rr[has], startable[has], suit[has]
             if not rr.size:
-                return
+                break
+            started = True
             jc = np.argmin(np.where(startable, self.qkey[rr], np.inf), axis=1)
             # A row-uniform mask has one job row, shared by every job.
             jrow = jc if suit.shape[1] > 1 else 0
             self._start_job(rr, jc, suit[np.arange(rr.size), jrow])
+        return started
 
     def _backfill_suit(self, rr: np.ndarray, free: np.ndarray) -> np.ndarray:
         """Suitable VMs per queued job, ``(R, J, S)`` — or ``(R, 1, S)``
@@ -846,19 +897,20 @@ class _LockstepKernel:
         raise NotImplementedError
 
     # -- VM and job exits --------------------------------------------------
-    def _on_death(self, rr: np.ndarray, col: np.ndarray) -> np.ndarray:
+    def _on_death(self, rr: np.ndarray, col: np.ndarray):
         """VM ``col`` of each row dies: bill it, let the policy react,
-        abort the gang it served.  Returns the rows that lost a job."""
+        abort the gang it served.  Returns the rows that lost a job and
+        what their scheduling pass returned (``None`` without one)."""
         jd = self.vm_job[rr, col]
         self._retire(rr, col, self.death[rr])
         self.preemptions[rr] += 1
         self._vm_lost(rr, col)
         busy = jd >= 0
         rb, jb = rr[busy], jd[busy]
-        if rb.size:
-            self._abort(rb, jb)
-            self._schedule_pass(rb)
-        return rb
+        if not rb.size:
+            return rb, None
+        self._abort(rb, jb)
+        return rb, self._schedule_pass(rb)
 
     def _vm_lost(self, rr: np.ndarray, col: np.ndarray) -> None:
         """The policy's reaction to a VM death, before its gang aborts."""
@@ -971,19 +1023,16 @@ class _LockstepKernel:
     def _oldest(
         self, mask: np.ndarray, rr: np.ndarray, rank: np.ndarray | None = None
     ) -> np.ndarray:
-        """Column order by (pool rank, launch, birth), non-``mask`` last.
+        """Column order by one ``(pool rank, birth)`` key, non-``mask`` last.
 
         ``rank`` — optional per-(row, column) allocator rank aligned
-        with ``self.launch[rr]`` — is the *primary* key; ``None`` (or an
-        all-equal rank, i.e. a single pool) reduces exactly to the
-        historical ``(launch, birth)`` ``free_nodes()`` order.  The sort
-        is stable, so full ties keep column order.
+        with ``self.birth[rr]`` — is the *primary* key; ``None`` (or an
+        all-equal rank, i.e. a single pool) is the historical
+        ``(launch time, boot order)`` ``free_nodes()`` order.  Birth
+        alone gives that order because :meth:`_add_vm` is the only
+        writer of ``launch`` and ``birth``: a row's births are distinct
+        and its ``launch`` is non-decreasing in ``birth``.  The sort is
+        stable, so the non-``mask`` cells keep column order.
         """
-        # np.lexsort's last key is its primary one.
-        keys = [
-            np.where(mask, self.birth[rr], _INT64_MAX),
-            np.where(mask, self.launch[rr], np.inf),
-        ]
-        if rank is not None:
-            keys.append(np.where(mask, rank, _INT64_MAX))
-        return np.lexsort(tuple(keys), axis=1)
+        key = _order_key(self.birth[rr], mask, rank)
+        return np.argsort(key, axis=1, kind="stable")

@@ -4,13 +4,23 @@ A running segment lives in one of ``S`` running slots of
 :class:`repro.sim.vectorized._LockstepKernel`, keyed by its gang's
 first VM column, so the fused event table's width is a function of the
 fleet alone — never of how many jobs the workload holds — and every
-slot is empty again once a replication has finished.  The gang order
-:meth:`_LockstepKernel._oldest` is pinned here against the three-pass
-stable argsort chain it replaces.  The tenancy kernel's batched bag
-arrivals — one scheduling pass per member position across every row
-that arrived in a round — are pinned against the per-bag loop they
-replace, and the service-family max-attempts error must name its job
-and first row.
+slot is empty again once a replication has finished.
+
+The gang order is one ``(pool rank, birth)`` key per VM column.  It
+stands for the ``(pool rank, launch, birth)`` order because, in every
+state a kernel reaches, a row's births are distinct and its launches
+are non-decreasing in birth: live kernels check that invariant after
+every ``_add_vm``.  On such states :meth:`_LockstepKernel._oldest` is
+pinned against the three-pass stable argsort chain it replaces, and
+the gang a job takes — the suitable columns at or below the row's
+``w``-th smallest key — against that chain's first ``w`` columns.  The
+cluster's refresh loop acts on the judgment its scheduling pass made,
+judging a stuck head again only after a backfill scan moved VMs.  The
+tenancy kernel's batched bag arrivals — one scheduling pass per member
+position across every row that arrived in a round — are pinned against
+the per-bag loop they replace.  The service-family max-attempts error
+must name its job and first row, and each fleet/provisioning invariant
+error its first row.
 """
 
 from __future__ import annotations
@@ -38,7 +48,13 @@ from repro.sim.tenancy_vectorized import (
     TenancyConfig,
     _TenancyKernel,
 )
-from repro.sim.vectorized import _SEQ_INF, EventArena, _LockstepKernel
+from repro.sim.vectorized import (
+    _SEQ_INF,
+    EventArena,
+    _LockstepKernel,
+    _lowest,
+    _order_key,
+)
 
 #: A 40-minute MTTF: gang aborts happen in almost every replication.
 DIST = ExponentialDistribution(1.5)
@@ -128,12 +144,19 @@ def _oldest_chain(launch, birth, mask, rank=None):
 
 @st.composite
 def _columns(draw):
-    """Rows of VM columns with tied launches and births; each row's
+    """Rows of VM columns in states the kernel can reach: a row's
+    births are distinct (with gaps, as dead VMs leave) and its launches
+    are a non-decreasing function of birth, with ties.  Each row's
     mask is all set, all clear or mixed."""
     R, S = draw(st.integers(1, 6)), draw(st.integers(1, 9))
     cells = st.lists(st.integers(0, 3), min_size=R * S, max_size=R * S)
-    launch = np.asarray(draw(cells), dtype=float).reshape(R, S) * 0.5
-    birth = np.asarray(draw(cells), dtype=np.int64).reshape(R, S)
+    launch = np.empty((R, S))
+    birth = np.empty((R, S), dtype=np.int64)
+    for r in range(R):
+        births = st.lists(st.integers(0, 3 * S), min_size=S, max_size=S, unique=True)
+        birth[r] = draw(births)
+        steps = draw(st.lists(st.integers(0, 1), min_size=S, max_size=S))
+        launch[r, np.argsort(birth[r])] = np.cumsum(steps) * 0.5
     mask = np.empty((R, S), dtype=bool)
     for r in range(R):
         kind = draw(st.sampled_from(["all", "none", "mixed"]))
@@ -457,3 +480,201 @@ class TestArrivalBatching:
         log = _assert_batching_matches(traffic, dict(max_vms=4, **cfg), 16, 3)
         if traffic is BURSTY:
             assert any(bags > 1 for _, _, bags in log)
+
+
+def _alive_order_holds(kernel, rr) -> None:
+    """Over each row's alive columns: births are distinct and launch
+    is non-decreasing in birth."""
+    for r in np.unique(rr):
+        alive = kernel.alive[r]
+        birth, launch = kernel.birth[r, alive], kernel.launch[r, alive]
+        by_birth = np.argsort(birth)
+        assert np.unique(birth).size == birth.size
+        assert np.all(np.diff(launch[by_birth]) >= 0.0)
+
+
+class TestColumnOrderInvariant:
+    """The invariant that lets one ``(pool rank, birth)`` key stand for
+    the ``(pool rank, launch, birth)`` order, checked after every
+    ``_add_vm`` on live kernels."""
+
+    CASES = [
+        (_cluster, dict()),
+        (_cluster, dict(hot_spare=False, checkpoint_interval=0.2)),
+        (_cluster, dict(use_reuse_policy=True, backfill=True)),
+        (_cluster, dict(checkpoint="dp", checkpoint_step=0.05)),
+        (_cluster, dict(pools=ARRIVAL_POOLS, allocator="best_fit_price")),
+        (_service, dict(provision_latency=0.1, hot_spare_hours=0.05)),
+        (_service, dict(checkpoint="dp", checkpoint_step=0.05)),
+        (_service, dict(pools=ARRIVAL_POOLS, hot_spare_hours=0.05)),
+        (_service, dict(pools=ARRIVAL_POOLS, provision_latency=0.1)),
+        (_tenancy, dict(provision_latency=0.1, elastic_vms_per_bag=3)),
+        (_tenancy, dict(checkpoint="dp", checkpoint_step=0.05)),
+        (_tenancy, dict(pools=ARRIVAL_POOLS, allocator="tenant_affinity",
+                        provision_latency=0.1, hot_spare_hours=0.05)),
+    ]
+
+    @pytest.mark.parametrize("build, cfg", CASES)
+    def test_launch_follows_birth(self, build, cfg):
+        kernel = build(JOBS * 3, n=16, **cfg)
+        add_vm = kernel._add_vm
+        calls = []
+
+        def checked(rr, pool):
+            add_vm(rr, pool)
+            calls.append(rr.size)
+            _alive_order_holds(kernel, rr)
+
+        kernel._add_vm = checked
+        kernel.run()
+        assert sum(calls) > 16
+
+
+def _first_of_chain(launch, birth, mask, rank, w):
+    """The first ``w`` columns of each row in ``_oldest_chain`` order."""
+    order = _oldest_chain(launch, birth, mask, rank)
+    sel = np.zeros(mask.shape, dtype=bool)
+    for r in range(mask.shape[0]):
+        sel[r, order[r, : w[r]]] = True
+    return sel
+
+
+class TestGangSelection:
+    @settings(max_examples=200, deadline=None)
+    @given(cols=_columns(), data=st.data())
+    def test_threshold_takes_the_oldest(self, cols, data):
+        launch, birth, mask, rank = cols
+        rows = mask.any(axis=1)
+        if not rows.any():
+            mask[0, 0] = rows[0] = True
+        launch, birth, mask = launch[rows], birth[rows], mask[rows]
+        rank = None if rank is None else rank[rows]
+        w = np.asarray(
+            [data.draw(st.integers(1, int(m.sum()))) for m in mask], dtype=np.int64
+        )
+        got = _lowest(_order_key(birth, mask, rank), w)
+        assert np.array_equal(got, _first_of_chain(launch, birth, mask, rank, w))
+
+
+def _count_refresh_judgments(kernel):
+    """Spy on a kernel: inside its refresh loops, count the head
+    judgments, scheduling passes and job starts."""
+    seen = dict(judged=0, passes=0, starts=0)
+    inside = [False]
+
+    def spy(name, key):
+        method = getattr(kernel, name)
+
+        def counted(*args):
+            if inside[0]:
+                seen[key] += 1
+            return method(*args)
+
+        setattr(kernel, name, counted)
+
+    spy("_head_state", "judged")
+    spy("_schedule_pass", "passes")
+    spy("_start_job", "starts")
+    refresh = kernel._refresh_loop
+
+    def loop(*args):
+        inside[0] = True
+        try:
+            refresh(*args)
+        finally:
+            inside[0] = False
+
+    kernel._refresh_loop = loop
+    return seen
+
+
+class TestOneJudgmentPerStall:
+    """The cluster's refresh loop acts on the judgment the scheduling
+    pass before it made, instead of judging the stuck heads again."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            dict(hot_spare=False),
+            dict(hot_spare=False, use_reuse_policy=True),
+            dict(use_reuse_policy=True, checkpoint_interval=0.2),
+            dict(checkpoint="dp", checkpoint_step=0.05, hot_spare=False),
+        ],
+    )
+    def test_each_iteration_judges_once(self, cfg):
+        # One replication: a pass judges its head once, plus once more
+        # after each job it starts.
+        kernel = _cluster(JOBS * 3, n=1, **cfg)
+        seen = _count_refresh_judgments(kernel)
+        kernel.run()
+        assert seen["passes"] > 0  # the queue stalled and was refreshed
+        assert seen["judged"] == seen["passes"] + seen["starts"]
+
+    def test_backfill_rejudges_after_moving_vms(self, monkeypatch):
+        # A fixed case where the backfill scan starts jobs on VMs the
+        # stuck head's judgment held free: refreshing on that stale
+        # judgment terminates busy VMs, and the run then breaks the
+        # fleet invariant.
+        run = lambda backend: run_cluster_replications(  # noqa: E731
+            DIST, CASE_JOBS, n_replications=4, seed=0, backend=backend,
+            pool_size=4, use_reuse_policy=True, backfill=True,
+        )
+        event, vec = run("event"), run("vectorized")
+        np.testing.assert_allclose(vec.makespan, event.makespan, rtol=0, atol=1e-9)
+        assert np.array_equal(vec.n_preemptions, event.n_preemptions)
+
+        def stale_pass(self, rr):
+            stuck = self._start_heads(rr)
+            if stuck is not None:
+                self._backfill_scan(stuck[0])
+            return stuck
+
+        monkeypatch.setattr(_ClusterKernel, "_schedule_pass", stale_pass)
+        try:
+            stale = run("vectorized").makespan
+        except RuntimeError as exc:
+            stale = str(exc)
+        assert not np.array_equal(stale, vec.makespan)
+
+
+def _names_row(raised, words, row, now):
+    msg = str(raised.value)
+    assert words in msg
+    assert msg.endswith(f"(first: kernel row {row} at now={now!r})")
+
+
+class TestInvariantErrors:
+    """Each fleet/provisioning invariant error names its first failing
+    kernel row and that row's clock, forced here on a tiny kernel."""
+
+    def _pooled(self):
+        kernel = _service(JOBS, n=3, pools=ARRIVAL_POOLS)
+        kernel.now[:] = [0.5, 0.75, 1.25]
+        return kernel
+
+    @pytest.mark.parametrize("affinity", [False, True], ids=["static", "rank_rows"])
+    def test_boot_pool_headroom(self, affinity):
+        kernel = self._pooled()
+        kernel.provisioning_pool[1:] = kernel.pool_sizes  # rows 1-2 are full
+        rr = np.arange(3)
+        rank_rows = np.tile(kernel.rank, (3, 1)) if affinity else None
+        with pytest.raises(RuntimeError) as raised:
+            kernel._boot_pool(rr, rank_rows)
+        _names_row(raised, "no pool headroom; fleet invariant violated", 1, 0.75)
+
+    def test_add_vm_column(self):
+        kernel = _cluster(JOBS, n=3)
+        kernel.now[:] = [0.5, 0.75, 1.25]
+        kernel.alive[2] = True  # row 2 has no empty column
+        with pytest.raises(RuntimeError) as raised:
+            kernel._add_vm(np.arange(3), np.zeros(3, dtype=np.int64))
+        _names_row(raised, "no reusable VM column; fleet invariant violated", 2, 1.25)
+
+    def test_schedule_boots_slot(self):
+        kernel = self._pooled()
+        kernel.bseq[1] = 0  # row 1 has no free boot slot
+        with pytest.raises(RuntimeError) as raised:
+            kernel._schedule_boots(np.arange(3), np.ones(3, dtype=np.int64))
+        _names_row(
+            raised, "no free boot slot; provisioning invariant violated", 1, 0.75
+        )
