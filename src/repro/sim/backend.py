@@ -247,20 +247,33 @@ def _shard_task(payload):
     return raw
 
 
-def _run_sharded(payloads, workers: int):
-    """Fan shard payloads out over a process pool, results in order."""
+def _run_sharded(payloads, workers: int, sizes: list[int]):
+    """Fan shard payloads out over a process pool, results in order.
+
+    A worker that dies raises ``BrokenProcessPool`` naming the chunk
+    ``sizes``, each shard's bounds within its chunk and ``workers``.
+    """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     _require_picklable(payloads[0])
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # platforms without fork: spawn works too
         ctx = multiprocessing.get_context()
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(payloads)), mp_context=ctx
-    ) as pool:
-        return list(pool.map(_shard_task, payloads))
+    try:
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(payloads)), mp_context=ctx
+        ) as pool:
+            return list(pool.map(_shard_task, payloads))
+    except BrokenProcessPool as exc:
+        shards = " ".join(f"[{p[4]}, {p[5]})" for p in payloads)
+        raise BrokenProcessPool(
+            f"a worker process died in a sharded sweep: chunk sizes {sizes}, "
+            f"shards {shards} (bounds within their chunk), workers={workers}; "
+            "workers=1 replays the same replications byte for byte"
+        ) from exc
 
 
 def _merge_raws(raws: list[dict]) -> dict:
@@ -526,7 +539,7 @@ def _sweep(
                 ))
             start += size
         with robs.timed("shards"):
-            raws = _run_sharded(payloads, workers)
+            raws = _run_sharded(payloads, workers, sizes)
         robs.absorb(raws)
         robs.progress(n, n)
     else:

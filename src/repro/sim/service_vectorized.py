@@ -493,7 +493,7 @@ class _ServiceKernel(_LockstepKernel):
         # Release order: idle timers first (queue empty only), then the
         # estimate update, then the scheduling pass — exactly
         # _job_completed's release -> callbacks -> try_schedule.
-        qempty = ~np.isfinite(self.qkey[rr]).any(axis=1)
+        qempty = self.nq[rr] == 0
         rq = rr[qempty]
         if rq.size:
             self._schedule_reaps(rq, gang[qempty])
@@ -518,7 +518,7 @@ class _ServiceKernel(_LockstepKernel):
         self.reap_seq[rr, col] = _SEQ_INF
         # By the timer invariant the VM is alive and idle; the reap
         # no-ops when the queue is non-empty (the controller's check).
-        qempty = ~np.isfinite(self.qkey[rr]).any(axis=1)
+        qempty = self.nq[rr] == 0
         rt, ct = rr[qempty], col[qempty]
         if rt.size:
             self._retire(rt, ct, self.now[rt][:, None])

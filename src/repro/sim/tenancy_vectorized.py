@@ -353,7 +353,7 @@ class _TenancyKernel(_ServiceKernel):
             self.job_tenant, config.scheduling, self.T, config.tenant_weights
         )
         # Jobs are queue-invisible until their arrival event fires.
-        self.qkey[:] = np.inf
+        self._init_queue(self.keys, queued=False)
         # Arrival events carry insertion sequences 0..K-1; everything
         # scheduled afterwards starts at K (the event path schedules
         # all arrivals before any other event exists).
@@ -488,7 +488,7 @@ class _TenancyKernel(_ServiceKernel):
             live = m > i
             ri, j = rr[live], lo[live] + i
             self.admitted[ri, j] = True
-            self.qkey[ri, j] = self.keys[j]
+            self._enqueue(ri, j, self.keys[j])
             self._schedule_pass(ri)
 
     def _job_done(self, rr: np.ndarray, jj: np.ndarray, gang: np.ndarray) -> None:

@@ -362,7 +362,9 @@ class _LockstepKernel:
       :meth:`_rank_cols` and the new-VM column fill :meth:`_add_vm`;
     * **Eq. 8**: the per-pool pure loop :meth:`_eq8` and
       :meth:`_judge`, which judges only rows that hold a free VM;
-    * **scheduling**: :meth:`_head_state`, :meth:`_start_heads`,
+    * **scheduling**: the job queue (:meth:`_enqueue` and
+      :meth:`_dequeue` own every write and keep its head state, see
+      :meth:`_init_queue`), :meth:`_head_state`, :meth:`_start_heads`,
       :meth:`_start_job` (gang selection in :meth:`_oldest` order),
       :meth:`_schedule_pass` and :meth:`_backfill_scan`;
     * **VM and job exits**: :meth:`_retire` (billing), :meth:`_on_death`
@@ -474,8 +476,8 @@ class _LockstepKernel:
         self.vm_pool = np.full((n, S), -1, dtype=np.int64)
         # Boots in flight per pool (always zero where boots are instant).
         self.provisioning_pool = np.zeros((n, self.nP), dtype=np.int64)
-        # Job state.
-        self.qkey = np.broadcast_to(np.arange(J, dtype=float), (n, J)).copy()
+        # Job state: every job queued under its index as key.
+        self._init_queue(np.arange(J, dtype=float), queued=True)
         self.head_key = np.full(n, -1.0)  # next requeue-at-head key
         self.progress = np.zeros((n, J))
         # Running slots: at most S gangs run at once and each holds at
@@ -572,9 +574,7 @@ class _LockstepKernel:
         """
         if not active.size:
             return
-        self.obs.gauge("queue.peak_depth").set(
-            int(np.isfinite(self.qkey[active]).sum(axis=1).max())
-        )
+        self.obs.gauge("queue.peak_depth").set(int(self.nq[active].max()))
         al = self.alive[active]
         vp = self.vm_pool[active]
         for p in range(self.nP):
@@ -785,16 +785,127 @@ class _LockstepKernel:
     def backfill(self) -> bool:
         return self.cfg.backfill
 
+    # -- the job queue ---------------------------------------------------
+    def _init_queue(self, keys: np.ndarray, queued: bool) -> None:
+        """The job queue over the static ``keys``: every job queued
+        under its key, or none.
+
+        ``qkey`` is the queue (``inf``: not queued; negative: requeued
+        at the head); :meth:`_enqueue` and :meth:`_dequeue` own every
+        write to it and keep the per-row head state in step: ``head``
+        is always ``argmin(qkey)`` and ``shead`` the lowest queued job
+        with a non-negative (static) key, each ``-1`` when there is
+        none; ``nq`` counts the queued jobs and ``nreq`` the requeued
+        ones.  The static order is the stable ``argsort`` of ``keys``,
+        so ties go to the lower job index as in ``np.argmin``: ``srank``
+        is a job's place in it (``srank[J]`` ranks the ``-1`` of an
+        empty ``shead`` last) and ``succ`` the next job, the last one
+        mapping to itself, which :meth:`_dequeue` has just taken off
+        the queue when it asks.
+        """
+        n, J = self.n, keys.size
+        self.qkey = np.tile(keys, (n, 1)) if queued else np.full((n, J), np.inf)
+        self.skey = keys
+        order = np.argsort(keys, kind="stable")
+        self.srank = np.empty(J + 1, dtype=np.int64)
+        self.srank[order] = np.arange(J)
+        self.srank[J] = J
+        self.succ = np.empty(J, dtype=np.int64)
+        self.succ[order[:-1]] = order[1:]
+        self.succ[order[-1:]] = order[-1:]
+        first = order[0] if queued and J else -1
+        self.head = np.full(n, first, dtype=np.int64)
+        self.shead = self.head.copy()
+        self.nq = np.full(n, J if queued else 0, dtype=np.int64)
+        self.nreq = np.zeros(n, dtype=np.int64)
+
+    def _enqueue(self, rr: np.ndarray, jj: np.ndarray, key) -> None:
+        """Queue job ``jj`` under ``key`` on each (distinct) row ``rr``.
+
+        A negative key is a requeue at the head: it is below every key
+        the row holds (``head_key`` only decreases), so the job becomes
+        the head.  A non-negative key must be the job's static key; the
+        job becomes ``shead`` when it is earlier in the static order,
+        and the head too on rows with no requeued job.
+        """
+        qk = self.qkey
+        qk[rr, jj] = key
+        self.nq[rr] += 1
+        req = qk[rr, jj] < 0
+        if req.any():
+            r = rr[req]
+            self.head[r] = jj[req]
+            self.nreq[r] += 1
+            if req.all():
+                return
+            rr, jj = rr[~req], jj[~req]
+        low = self.srank[jj] < self.srank[self.shead[rr]]
+        if not low.all():
+            rr, jj = rr[low], jj[low]
+        self.shead[rr] = jj
+        nreq = self.nreq[rr]
+        if nreq.any():
+            rr, jj = rr[nreq == 0], jj[nreq == 0]
+        self.head[rr] = jj
+
+    def _dequeue(self, rr: np.ndarray, jj: np.ndarray) -> None:
+        """Take queued job ``jj`` off each (distinct) row ``rr``.
+
+        A new ``shead`` is the static successor when that job is
+        queued under its static key; otherwise, with static jobs left,
+        one ``argmin`` over the row's non-negative keys.  A new head is
+        ``shead`` on rows with no requeued job left, else the row's
+        ``argmin``.  Only rows that hold a requeued job can be taking
+        one off, so without such rows that test is skipped.
+        """
+        qk = self.qkey
+        nreq = self.nreq[rr]
+        held = nreq.any()
+        req = (qk[rr, jj] < 0) if held else None
+        qk[rr, jj] = np.inf
+        self.nq[rr] -= 1
+        if held and req.any():
+            r, j = rr[req], jj[req]
+            self.nreq[r] -= 1
+            r = r[self.head[r] == j]
+            new = self.shead[r]
+            scan = self.nreq[r] > 0
+            if scan.any():
+                new[scan] = np.argmin(qk[r[scan]], axis=1)
+            self.head[r] = new
+        s = self.shead[rr] == jj
+        if not s.all():
+            rr, jj, nreq = rr[s], jj[s], nreq[s]
+            if not rr.size:
+                return
+        # A static job left: these rows' nreq is the one gathered above.
+        nxt = self.succ[jj]
+        ok = qk[rr, nxt] == self.skey[nxt]
+        if ok.all():
+            new = nxt
+        else:
+            new = np.where(ok, nxt, -1)
+            miss = ~ok & (self.nq[rr] > nreq)
+            if miss.any():
+                q = qk[rr[miss]]
+                new[miss] = np.argmin(np.where(q >= 0, q, np.inf), axis=1)
+        self.shead[rr] = new
+        if held:
+            rr, new = rr[nreq == 0], new[nreq == 0]
+        self.head[rr] = new
+
     def _head_state(self, rr: np.ndarray):
         """Queue head + suitability per row; drops queue-less rows.
 
-        Returns ``(rr, head, width, suit, free)`` restricted to rows
-        with a non-empty queue.
+        The head is the kept ``head`` state (``argmin(qkey)``, see
+        :meth:`_init_queue`); no queue row is read.  Returns ``(rr,
+        head, width, suit, free)`` restricted to rows with a non-empty
+        queue.
         """
-        qk = self.qkey[rr]
-        head = np.argmin(qk, axis=1)
-        has = qk[np.arange(rr.size), head] < np.inf
-        rr, head = rr[has], head[has]
+        head = self.head[rr]
+        has = head >= 0
+        if not has.all():
+            rr, head = rr[has], head[has]
         if not rr.size:
             return rr, head, None, None, None
         free = self.alive[rr] & (self.vm_job[rr] == -1)
@@ -847,7 +958,7 @@ class _LockstepKernel:
         sel = _lowest(key, self.width[jj])
         self._on_start(rr, jj, sel)
         self.vm_job[rr] = np.where(sel, jj[:, None], self.vm_job[rr])
-        self.qkey[rr, jj] = np.inf
+        self._dequeue(rr, jj)
         left = np.maximum(self.work[jj] - self.progress[rr, jj], 0.0)
         if self.dp is not None:
             # Re-plan the attempt at the gang's oldest selected VM age
@@ -922,7 +1033,7 @@ class _LockstepKernel:
         self.wasted[rr] += self.now[rr] - self.sstart[rr, slot]
         self.failures[rr] += 1
         self._clear_segment(rr, slot)
-        self.qkey[rr, jj] = self.head_key[rr]
+        self._enqueue(rr, jj, self.head_key[rr])
         self.head_key[rr] -= 1.0
         self._release(rr, jj)
 

@@ -228,8 +228,9 @@ class TestOneJudgmentPerPass:
             reference_dist, traffic, 1, TenancyConfig(max_vms=4), 4,
             np.random.default_rng(0), 10_000,
         )
-        kernel.qkey[:, 0] = 0.0  # the bag has arrived; job 0 heads it
-        kernel.qkey[:, 1] = 1.0
+        rows = np.arange(4)  # the bag has arrived; job 0 heads it
+        kernel._enqueue(rows, np.zeros(4, dtype=np.int64), 0.0)
+        kernel._enqueue(rows, np.ones(4, dtype=np.int64), 1.0)
         _stalled_state(kernel)
         kernel._schedule_pass(np.arange(4))
         assert eq8_calls == [((2, 1), (2, kernel.S))]

@@ -18,9 +18,12 @@ cluster's refresh loop acts on the judgment its scheduling pass made,
 judging a stuck head again only after a backfill scan moved VMs.  The
 tenancy kernel's batched bag arrivals — one scheduling pass per member
 position across every row that arrived in a round — are pinned against
-the per-bag loop they replace.  The service-family max-attempts error
-must name its job and first row, and each fleet/provisioning invariant
-error its first row.
+the per-bag loop they replace.  The queue head state ``_head_state``
+reads instead of scanning ``qkey`` — ``head``, ``shead``, ``nq`` and
+``nreq`` — must equal the full scan after every ``_enqueue`` and
+``_dequeue``, on live kernels and under writes in any order.  The
+service-family max-attempts error must name its job and first row, and
+each fleet/provisioning invariant error its first row.
 """
 
 from __future__ import annotations
@@ -339,7 +342,7 @@ class _PerBagArrivals(_TenancyKernel):
             self.admitted[ra, lo:hi] = True
             self.active_bags[ra] += 1
             for j in range(lo, hi):
-                self.qkey[ra, j] = float(self.keys[j])
+                self._enqueue(ra, np.full(ra.size, j), float(self.keys[j]))
                 self._schedule_pass(ra)
 
 
@@ -678,3 +681,195 @@ class TestInvariantErrors:
         _names_row(
             raised, "no free boot slot; provisioning invariant violated", 1, 0.75
         )
+
+
+def _queue_state_holds(kernel) -> None:
+    """The kept head state matches what a full ``qkey`` scan gives, on
+    every row."""
+    q = kernel.qkey
+    queued = np.isfinite(q)
+    static = np.where(q >= 0, q, np.inf)
+    head = np.where(queued.any(axis=1), np.argmin(q, axis=1), -1)
+    shead = np.where(np.isfinite(static).any(axis=1), np.argmin(static, axis=1), -1)
+    assert np.array_equal(kernel.head, head)
+    assert np.array_equal(kernel.shead, shead)
+    assert np.array_equal(kernel.nq, queued.sum(axis=1))
+    assert np.array_equal(kernel.nreq, (q < 0).sum(axis=1))
+
+
+def _check_queue_writes(kernel) -> dict:
+    """Check the head state after every ``_enqueue`` and ``_dequeue``;
+    count the paths they took: requeues, static keys tied with the
+    row's ``shead``, starts behind the head, and ``shead`` moves that
+    found the static successor not queued."""
+    seen = dict(requeues=0, ties=0, behind=0, rescans=0)
+    enqueue, dequeue = kernel._enqueue, kernel._dequeue
+
+    def checked_enqueue(rr, jj, key):
+        key = np.broadcast_to(key, rr.shape)
+        sh = kernel.shead[rr]
+        seen["requeues"] += int((key < 0).any())
+        seen["ties"] += int(((sh >= 0) & (kernel.qkey[rr, sh] == key)).sum())
+        enqueue(rr, jj, key)
+        _queue_state_holds(kernel)
+
+    def checked_dequeue(rr, jj):
+        seen["behind"] += int((kernel.head[rr] != jj).any())
+        at = kernel.shead[rr] == jj
+        dequeue(rr, jj)
+        new = kernel.shead[rr[at]]
+        seen["rescans"] += int(((new >= 0) & (new != kernel.succ[jj[at]])).sum())
+        _queue_state_holds(kernel)
+
+    kernel._enqueue, kernel._dequeue = checked_enqueue, checked_dequeue
+    return seen
+
+
+def _run_checked(kernel) -> dict:
+    seen = _check_queue_writes(kernel)
+    try:
+        kernel.run()
+    except RuntimeError:  # max attempts or livelock: checked up to it
+        pass
+    return seen
+
+
+@st.composite
+def _queue_cases(draw, kind):
+    """A live ``kind`` kernel over a random bag or traffic and
+    configuration, with aborts in most replications."""
+    job = st.tuples(st.sampled_from([0.2, 0.4, 0.7]), st.integers(1, 3))
+    jobs = [GangJob(w, g) for w, g in draw(st.lists(job, min_size=1, max_size=10))]
+    pools = {}
+    if draw(st.booleans()):
+        pools = dict(pools=ARRIVAL_POOLS, allocator=draw(
+            st.sampled_from(["first_fit", "best_fit_price"])
+        ))
+    n, seed = draw(st.integers(2, 8)), draw(st.integers(0, 99))
+    rng = np.random.default_rng(seed)
+    if kind == "cluster":
+        config = ClusterConfig(
+            pool_size=4,
+            backfill=draw(st.booleans()),
+            hot_spare=draw(st.booleans()),
+            use_reuse_policy=draw(st.booleans()),
+            **pools,
+        )
+        return _ClusterKernel(DIST, jobs, config, n, rng, 100_000)
+    if kind == "service":
+        config = ServiceBatchConfig(
+            max_vms=4,
+            backfill=draw(st.booleans()),
+            use_reuse_policy=draw(st.booleans()),
+            provision_latency=draw(st.sampled_from([0.0, 0.1])),
+            hot_spare_hours=draw(st.sampled_from([1.0, 0.05])),
+            **pools,
+        )
+        return _ServiceKernel(DIST, jobs, config, n, rng, 100_000)
+    times = st.sampled_from([0.0, 0.1, 0.3, 0.6])
+    bags = draw(st.lists(
+        st.tuples(st.integers(0, 2), times, st.integers(1, 4)),
+        min_size=1, max_size=5,
+    ))
+    traffic = tuple(
+        BagSubmission(t, at, tuple(jobs[:m]))
+        for t, at, m in sorted(bags, key=lambda b: b[1])
+    )
+    scheduling = draw(st.sampled_from(["fifo", "fair", "weighted"]))
+    weights = draw(st.sampled_from([(1.0, 1.0, 1.0), (1.0, 2.0, 0.5)]))
+    if pools and draw(st.booleans()):
+        pools["allocator"] = "tenant_affinity"
+    config = TenancyConfig(
+        max_vms=4,
+        scheduling=scheduling,
+        tenant_weights=weights if scheduling == "weighted" else None,
+        admission_cap=draw(st.sampled_from([None, 2, 4])),
+        provision_latency=draw(st.sampled_from([0.0, 0.1])),
+        hot_spare_hours=draw(st.sampled_from([1.0, 0.05])),
+        **pools,
+    )
+    return _TenancyKernel(DIST, traffic, 3, config, n, rng, 100_000)
+
+
+#: Weighted keys with equal weights: bags of tenants 0, 1 and 2 give
+#: their k-th jobs equal keys, so the stable ``(key, job)`` order is
+#: what separates them.
+TIED = TenancyConfig(
+    max_vms=4, scheduling="weighted", tenant_weights=(1.0, 1.0, 1.0)
+)
+
+
+def _queue_ops(draw, kernel):
+    """Random queue writes on distinct rows: each row takes a static
+    enqueue, a requeue at the head, or a dequeue of a queued job."""
+    J = kernel.J
+    for _ in range(draw(st.integers(1, 40))):
+        op = draw(st.sampled_from(["enqueue", "requeue", "dequeue"]))
+        picks = draw(st.lists(st.integers(0, J - 1), min_size=kernel.n,
+                              max_size=kernel.n))
+        queued = np.isfinite(kernel.qkey)
+        rr, jj = [], []
+        for r, pick in enumerate(picks):
+            # The first job at or after the pick that the op applies to.
+            can = queued[r] if op == "dequeue" else ~queued[r]
+            order = np.roll(np.arange(J), -pick)
+            hit = order[can[order]]
+            if hit.size:
+                rr.append(r)
+                jj.append(hit[0])
+        if not rr:
+            continue
+        rr, jj = np.asarray(rr), np.asarray(jj, dtype=np.int64)
+        yield op, rr, jj
+
+
+class TestQueueHead:
+    """``head``, ``shead``, ``nq`` and ``nreq`` — the queue head state
+    :meth:`_LockstepKernel._head_state` reads instead of scanning
+    ``qkey`` — equal the full scan after every queue write."""
+
+    @pytest.mark.parametrize("kind", ["cluster", "service", "tenancy"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_live_kernels(self, kind, data):
+        _run_checked(data.draw(_queue_cases(kind)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_order_of_writes(self, data):
+        # Live kernels queue a row's static jobs in job order only; any
+        # order, with tied keys, must give the same heads.
+        traffic = tuple(
+            BagSubmission(k % 3, 0.1 * k, tuple(_bag(2))) for k in range(5)
+        )
+        kernel = _TenancyKernel(
+            DIST, traffic, 3, TIED, 3, np.random.default_rng(0), 100_000
+        )
+        for op, rr, jj in _queue_ops(data.draw, kernel):
+            if op == "dequeue":
+                kernel._dequeue(rr, jj)
+            elif op == "enqueue":
+                kernel._enqueue(rr, jj, kernel.keys[jj])
+            else:
+                kernel._enqueue(rr, jj, kernel.head_key[rr])
+                kernel.head_key[rr] -= 1.0
+            _queue_state_holds(kernel)
+
+    @pytest.mark.parametrize(
+        "build, cfg, path",
+        [
+            (_cluster, dict(hot_spare=False), "requeues"),
+            (_cluster, dict(use_reuse_policy=True, backfill=True), "behind"),
+            (_service, dict(backfill=True, provision_latency=0.1), "behind"),
+            (_tenancy, dict(scheduling="fair", provision_latency=0.1), "rescans"),
+            (_tenancy, dict(scheduling="weighted", tenant_weights=(1.0, 1.0, 1.0)),
+             "ties"),
+        ],
+    )
+    def test_each_path_is_reached(self, build, cfg, path):
+        # Kernels like the live strategy's reach every branch of the
+        # head state: requeues, static keys tied with the head, starts
+        # behind the head (backfill) and static successors that are
+        # not queued.
+        seen = _run_checked(build(JOBS * 3, n=16, **cfg))
+        assert seen[path] > 0

@@ -7,10 +7,14 @@ inputs are ``ValueError`` s raised up front, ``capture`` composes with
 to the parent's capture object), and requesting
 ``backend="vectorized-compiled"`` with no compiled provider available
 is an actionable ``ImportError`` naming the install options — pinned
-here by monkeypatching every provider loader away.
+here by monkeypatching every provider loader away.  A worker that dies
+mid-sweep raises ``BrokenProcessPool`` naming the chunk sizes, shard
+bounds and worker count.
 """
 
+import os
 import shutil
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -18,6 +22,8 @@ import pytest
 from repro.distributions.exponential import ExponentialDistribution
 from repro.sim.backend import (
     DrawCapture,
+    _Kernel,
+    _sweep,
     run_cluster_replications,
     run_replications,
     run_service_replications,
@@ -94,6 +100,30 @@ class TestWorkersValidation:
         out = entry(n_replications=3, workers=1, capture=capture)
         assert capture.n_rounds > 0
         assert capture.uniforms.shape[1] == 3
+
+
+def _dies_in_the_short_shard(*, n_replications, rng, obs):
+    """A simulate function whose worker process exits in the 2-wide
+    shard of a 5-replication sweep over 2 workers."""
+    if n_replications == 2:
+        os._exit(3)
+    return {"makespan": np.zeros(n_replications)}
+
+
+class TestWorkerCrash:
+    def test_names_the_sweep_it_broke(self):
+        kernel = _Kernel("plan", _dies_in_the_short_shard, (), {})
+        with pytest.raises(BrokenProcessPool) as raised:
+            _sweep(
+                kernel, backend="vectorized", n_replications=5, seed=0,
+                workers=2, capture=None, instrument=False,
+            )
+        assert str(raised.value) == (
+            "a worker process died in a sharded sweep: chunk sizes [5], "
+            "shards [0, 3) [3, 5) (bounds within their chunk), workers=2; "
+            "workers=1 replays the same replications byte for byte"
+        )
+        assert isinstance(raised.value.__cause__, BrokenProcessPool)
 
 
 def _progress_calls(entry, **kw):
