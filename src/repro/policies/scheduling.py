@@ -186,35 +186,33 @@ class ModelReusePolicy:
         moment, surv, mass = self.dist.reuse_window_terms(s, T)
         if self.criterion == "paper":
             return moment
-        safe = np.where(surv > 0.0, surv, 1.0)
-        cost = np.maximum(moment - s * mass, 0.0) / safe
-        return np.where(surv > 0.0, cost, np.inf)
+        alive = surv > 0.0
+        cost = np.maximum(moment - s * mass, 0.0) / np.where(alive, surv, 1.0)
+        return np.where(alive, cost, np.inf)
 
     def decide_pairs(self, job_lengths, vm_ages) -> np.ndarray:
         """Eq. 8 decisions over paired (length, age) arrays: ``True`` = reuse.
 
-        The fully-batched counterpart of :meth:`decide` for the cluster
-        kernel: replication ``i`` asks about a job of length
-        ``job_lengths[i]`` on VMs of ages ``vm_ages[i, ...]`` in one
-        pass.  Same decisions as the scalar form at every element
-        (pinned by the test suite).
+        The fully-batched counterpart of :meth:`decide`: element ``i``
+        asks about a job of length ``job_lengths[i]`` on a VM aged
+        ``vm_ages[i]``, the arrays broadcasting against each other (the
+        kernels pass equal-shape 1-D cells).  The aged costs and the
+        fresh-VM costs, taken at the lengths' own shape, come from one
+        :meth:`reuse_cost_pairs` pass.  Same decisions as the scalar
+        form at every element (pinned by the test suite).
         """
         T = np.asarray(job_lengths, dtype=float)
         s = np.asarray(vm_ages, dtype=float)
-        if s.ndim and (T.ndim == 0 or T.shape[-1] == 1):
-            # The length is constant along the last (age) axis — the
-            # kernels' (k, 1) x (k, S) shape: append one age-0 column so
-            # the fresh-VM cost rides in the same elementwise pass.
+        Tb, sb = T, s
+        if T.shape != s.shape:
             shape = np.broadcast_shapes(T.shape, s.shape)
-            ages = np.zeros(shape[:-1] + (shape[-1] + 1,))
-            ages[..., :-1] = s
-            cost = self.reuse_cost_pairs(T, ages)
-            aged, fresh = cost[..., :-1], cost[..., -1:]
-        else:
-            aged = self.reuse_cost_pairs(T, s)
-            # The fresh-VM cost depends on the length alone; evaluate it
-            # at the unbroadcast shape and let the comparison broadcast.
-            fresh = self.reuse_cost_pairs(T, np.zeros_like(T))
+            Tb, sb = np.broadcast_to(T, shape), np.broadcast_to(s, shape)
+        n = sb.size
+        cost = self.reuse_cost_pairs(
+            np.concatenate((Tb.ravel(), T.ravel())),
+            np.concatenate((sb.ravel(), np.zeros(T.size))),
+        )
+        aged, fresh = cost[:n].reshape(sb.shape), cost[n:].reshape(T.shape)
         return (aged <= fresh) & (s < self.dist.t_max)
 
     def failure_probability_batch(self, job_length: float, vm_ages) -> np.ndarray:

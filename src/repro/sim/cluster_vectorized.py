@@ -51,10 +51,10 @@ the head cannot use, scanned in queue order — unreserved, exactly the
 requeued (preempted) job returns to the queue head.  A job starts when
 ``width`` *suitable* free VMs exist — all free VMs when the reuse
 policy is off, else the free VMs whose Eq. 8 decision
-(:meth:`ModelReusePolicy.decide_pairs` on the job's remaining hours) is
-REUSE — and takes the oldest suitable ones (launch time, then boot
-order).  When the head stalls but ``suitable + unsuitable-free + empty
-pool slots >= width``, the cluster *refreshes* one VM at a time — the
+(:meth:`ModelReusePolicy.decide_pairs` over the free VM cells, on the
+job's remaining hours) is REUSE — and takes the oldest suitable ones
+(launch time, then boot order).  When the head stalls but ``suitable +
+unsuitable-free + empty pool slots >= width``, the cluster *refreshes* one VM at a time — the
 oldest unsuitable free VM is terminated and replaced by a fresh boot
 (or an empty pool slot boots, when no unsuitable VM remains) — retrying
 the queue between refreshes, until the head starts or capacity runs
@@ -255,16 +255,14 @@ class _ClusterKernel(_LockstepKernel):
         return self.work[head] - self.progress[rr, head]
 
     def _backfill_suit(self, rr: np.ndarray, free: np.ndarray) -> np.ndarray:
-        """Per-job Eq. 8 suitability of the free VMs, ``(R, J, S)``."""
+        """Per-job Eq. 8 suitability of the free VMs, ``(R, J, S)``: each
+        row is judged once per job, on that job's remaining hours."""
         if self.policies is None:
             return free[:, None, :]
-        T = np.maximum(self.work[None, :] - self.progress[rr], 1e-6)
-        return self._eq8(
-            T[:, :, None],
-            self._ages(rr)[:, None, :],
-            free[:, None, :],
-            self.vm_pool[rr][:, None, :],
-        )
+        J = self.J
+        T = self.work[None, :] - self.progress[rr]
+        suit = self._judge(np.repeat(rr, J), np.repeat(free, J, axis=0), T.ravel())
+        return suit.reshape(rr.size, J, self.S)
 
     def _schedule_pass(self, rr: np.ndarray):
         """The fleet core's pass — the cluster has no stall action —

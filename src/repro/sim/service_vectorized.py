@@ -283,7 +283,7 @@ class _ServiceKernel(_LockstepKernel):
     def _head_length(self, rr: np.ndarray, head: np.ndarray) -> np.ndarray:
         return self.est[self._estimate_slot(rr, head)]
 
-    def _verdict(self, rr, T, ages, free) -> np.ndarray:
+    def _verdict(self, row, col, T, ages) -> np.ndarray:
         """Pure Eq. 8 verdicts plus the fresh-boot grace window.
 
         A worker no older than its pool's boot latency is always
@@ -296,9 +296,9 @@ class _ServiceKernel(_LockstepKernel):
         bathtub laws the criterion already accepts infant ages, so
         existing single-pool outcomes are unchanged.
         """
-        vp = self.vm_pool[rr]
-        latency = self.latency[0] if self.nP == 1 else self.latency[np.clip(vp, 0, None)]
-        return self._eq8(T, ages, free, vp) | (free & (ages <= latency))
+        vp = self.vm_pool[row, col]
+        latency = self.latency[0] if self.nP == 1 else self.latency[vp]
+        return self._eq8(T, ages, vp) | (ages <= latency)
 
     def _backfill_suit(self, rr: np.ndarray, free: np.ndarray) -> np.ndarray:
         """All bag members share one estimate-based mask."""
@@ -420,18 +420,18 @@ class _ServiceKernel(_LockstepKernel):
         pinned state at the stall choke point, so the event oracle's
         controller mirror produces the exact same totals.
         """
-        ages = self._ages(rr)
-        vp = self.vm_pool[rr]
+        r, c = np.nonzero(free)
+        row = rr[r]
+        ages = self._ages(row, c)
+        vp = self.vm_pool[row, c]
         # Only a free worker inside its grace window can be graced, so
-        # pure Eq. 8 is evaluated on the rows that hold one.
-        cand = free & (ages <= self.latency[np.clip(vp, 0, None)])
-        rows = cand.any(axis=1)
+        # pure Eq. 8 is evaluated on those cells alone.
+        cand = ages <= self.latency[vp]
         graced = 0
-        if rows.any():
-            cand = cand[rows]
-            T = np.maximum(self._head_length(rr[rows], head[rows]), 1e-6)[:, None]
-            pure = self._eq8(T, ages[rows], cand, vp[rows])
-            graced = int((cand & ~pure).sum())
+        if cand.any():
+            r, ages, vp = r[cand], ages[cand], vp[cand]
+            T = np.maximum(self._head_length(rr, head), 1e-6)[r]
+            graced = int((~self._eq8(T, ages, vp)).sum())
         self.obs.inc("stall.graced", graced)
 
     def _count_stall_strikes(self, rk: np.ndarray) -> None:

@@ -360,8 +360,8 @@ class _LockstepKernel:
       result dict;
     * **pool helpers and boots**: :meth:`_boot_pool`, :meth:`_pool_ppf`,
       :meth:`_rank_cols` and the new-VM column fill :meth:`_add_vm`;
-    * **Eq. 8**: the per-pool pure loop :meth:`_eq8` and
-      :meth:`_judge`, which judges only rows that hold a free VM;
+    * **Eq. 8**: the per-pool cell loop :meth:`_eq8` and
+      :meth:`_judge`, which judges only the free VM cells;
     * **scheduling**: the job queue (:meth:`_enqueue` and
       :meth:`_dequeue` own every write and keep its head state, see
       :meth:`_init_queue`), :meth:`_head_state`, :meth:`_start_heads`,
@@ -741,40 +741,37 @@ class _LockstepKernel:
         self.dseq[rr] = np.where(gone, _SEQ_INF, self.dseq[rr])
 
     # -- Eq. 8 -----------------------------------------------------------
-    def _ages(self, rr: np.ndarray) -> np.ndarray:
-        return np.maximum(self.now[rr][:, None] - self.launch[rr], 0.0)
+    def _ages(self, row: np.ndarray, col: np.ndarray) -> np.ndarray:
+        """Age of the VM in cell ``(row, col)``, per cell."""
+        return np.maximum(self.now[row] - self.launch[row, col], 0.0)
 
-    def _eq8(self, T, ages, mask: np.ndarray, vp: np.ndarray) -> np.ndarray:
-        """``mask & Eq. 8(T, age)``, each VM judged under its pool's law.
-
-        ``vp`` is the pool of each ``mask`` cell; a pool with no masked
-        VM costs no call.
-        """
+    def _eq8(self, T: np.ndarray, ages: np.ndarray, vp: np.ndarray) -> np.ndarray:
+        """Eq. 8 over equal-shape 1-D cells, each VM under its pool's law
+        (``vp``: the cell's pool); one call per pool that holds a cell."""
         if self.nP == 1:
-            return mask & self.policies[0].decide_pairs(T, ages)
-        out = np.zeros(np.broadcast_shapes(mask.shape, T.shape, ages.shape), dtype=bool)
+            return self.policies[0].decide_pairs(T, ages)
+        out = np.zeros(T.shape, dtype=bool)
         for p, pol in enumerate(self.policies):
-            m = mask & (vp == p)
+            m = vp == p
             if m.any():
-                out |= m & pol.decide_pairs(T, ages)
+                out[m] = pol.decide_pairs(T[m], ages[m])
         return out
 
     def _judge(self, rr: np.ndarray, free: np.ndarray, T: np.ndarray) -> np.ndarray:
-        """The suitable mask for per-row job lengths ``T``, judged only
-        on rows with a free VM — a row without one is all ``False``
-        whatever the verdicts, so it costs no Eq. 8 cells."""
-        has = free.any(axis=1)
-        suit = free.copy()
-        if has.any():
-            r = rr[has]
-            T = np.maximum(T[has], 1e-6)[:, None]
-            suit[has] = self._verdict(r, T, self._ages(r), free[has])
+        """The suitable mask for per-row job lengths ``T``: Eq. 8 judges
+        the free cells only, so a row without a free VM costs nothing."""
+        r, c = np.nonzero(free)
+        suit = np.zeros(free.shape, dtype=bool)
+        if r.size:
+            row = rr[r]
+            T = np.maximum(T, 1e-6)[r]
+            suit[r, c] = self._verdict(row, c, T, self._ages(row, c))
         return suit
 
-    def _verdict(self, rr, T, ages, free) -> np.ndarray:
-        """Suitability of the ``free`` VMs: pure Eq. 8 here; the service
-        kernel adds its boot grace."""
-        return self._eq8(T, ages, free, self.vm_pool[rr])
+    def _verdict(self, row, col, T, ages) -> np.ndarray:
+        """Suitability of the free VM in each cell ``(row, col)``: pure
+        Eq. 8 here; the service kernel adds its boot grace."""
+        return self._eq8(T, ages, self.vm_pool[row, col])
 
     def _head_length(self, rr: np.ndarray, head: np.ndarray) -> np.ndarray:
         """The job length Eq. 8 judges the queue head against."""

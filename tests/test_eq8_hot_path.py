@@ -1,5 +1,5 @@
-"""The Eq. 8 hot path: fused window terms, batched gap grids, and the
-kernels' one-judgment-per-pass contract.
+"""The Eq. 8 hot path: fused window terms, batched gap grids, the
+kernels' cell judgment and their one-judgment-per-pass contract.
 
 Every fast path here must be *bit-identical* to the composition it
 replaces, so the assertions use exact equality (``np.array_equal``,
@@ -18,7 +18,8 @@ from repro.distributions.base import LifetimeDistribution
 from repro.distributions.bathtub import BathtubDistribution
 from repro.distributions.exponential import ExponentialDistribution
 from repro.policies.scheduling import ModelReusePolicy
-from repro.sim.cluster_vectorized import GangJob
+from repro.sim.cluster_vectorized import ClusterConfig, GangJob, _ClusterKernel
+from repro.sim.placement import PoolSpec
 from repro.sim.service_vectorized import ServiceBatchConfig, _ServiceKernel
 from repro.sim.tenancy_vectorized import BagSubmission, TenancyConfig, _TenancyKernel
 
@@ -71,11 +72,16 @@ def _lengths(draw, shape) -> np.ndarray:
 
 @st.composite
 def _cases(draw):
-    """``(params, lengths, ages)`` in the kernels' ``(k, 1) x (k, S)``
-    shape or the scalar-length x age-array shape."""
+    """``(params, lengths, ages)`` in the kernels' equal-shape 1-D cell
+    shape, the ``(k, 1) x (k, S)`` row shape or the scalar-length x
+    age-array shape."""
     params = draw(_params)
     t_max = BathtubDistribution(params).t_max
-    if draw(st.booleans()):
+    shape = draw(st.sampled_from(["cells", "rows", "scalar"]))
+    if shape == "cells":
+        T = _lengths(draw, (draw(st.integers(1, 12)),))
+        return params, T, _ages(draw, t_max, T, T.shape)
+    if shape == "rows":
         k, S = draw(st.integers(1, 5)), draw(st.integers(1, 6))
         T = _lengths(draw, (k, 1))
         return params, T, _ages(draw, t_max, T, (k, S))
@@ -107,7 +113,7 @@ class TestFusedWindowTerms:
     @settings(max_examples=150, deadline=None)
     @given(_cases(), st.sampled_from(["paper", "conditional"]))
     def test_decide_pairs_fresh_column_matches_two_calls(self, case, criterion):
-        """The fresh-VM cost folded into the aged pass decides exactly
+        """The fresh-VM costs folded into the aged pass decide exactly
         like the separate age-0 evaluation."""
         params, T, s = case
         pol = ModelReusePolicy(BathtubDistribution(params), criterion)
@@ -219,7 +225,7 @@ class TestOneJudgmentPerPass:
         kernel._schedule_pass(np.arange(4))
         # One call for the one judged head per row, over the two rows
         # with a free worker only; the stall acts on that judgment.
-        assert eq8_calls == [((2, 1), (2, kernel.S))]
+        assert eq8_calls == [((2,), (2,))]
         assert (kernel.provisioning > 0).all()
 
     def test_tenancy_stalled_pass(self, reference_dist, eq8_calls):
@@ -233,7 +239,7 @@ class TestOneJudgmentPerPass:
         kernel._enqueue(rows, np.ones(4, dtype=np.int64), 1.0)
         _stalled_state(kernel)
         kernel._schedule_pass(np.arange(4))
-        assert eq8_calls == [((2, 1), (2, kernel.S))]
+        assert eq8_calls == [((2,), (2,))]
         assert (kernel.provisioning > 0).all()
 
     def test_no_free_rows_no_call(self, reference_dist, eq8_calls):
@@ -245,3 +251,123 @@ class TestOneJudgmentPerPass:
         kernel._schedule_pass(np.arange(3))
         assert eq8_calls == []
         assert (kernel.provisioning == 2).all()
+
+
+#: Three pool laws with distinct supports (t_max 24.2, 20.9 and 17.9 h).
+_POOL_LAWS = tuple(
+    BathtubDistribution(BathtubParams(A, tau1, tau2, b))
+    for A, tau1, tau2, b in [
+        (0.45, 1.0, 0.8, 24.0), (0.35, 3.0, 1.5, 20.0), (0.55, 0.5, 0.5, 18.0)
+    ]
+)
+_CELL_JOBS = [GangJob(2.0, 2), GangJob(1.0, 1), GangJob(5.0, 1)]
+
+
+def _cell_kernel(kind: str, n_pools: int, latency: float, n: int):
+    """A service or cluster kernel over 1 or 3 pools of two slots each."""
+    pools = None
+    if n_pools > 1:
+        pools = tuple(
+            PoolSpec(
+                f"p{i}", 2, dist=law,
+                boot_latency=None if kind == "cluster" else latency * i,
+            )
+            for i, law in enumerate(_POOL_LAWS[:n_pools])
+        )
+    size = 2 * n_pools
+    rng = np.random.default_rng(0)
+    if kind == "cluster":
+        cfg = ClusterConfig(pool_size=size, pools=pools)
+        return _ClusterKernel(_POOL_LAWS[0], _CELL_JOBS, cfg, n, rng, 10_000)
+    cfg = ServiceBatchConfig(max_vms=size, provision_latency=latency, pools=pools)
+    return _ServiceKernel(_POOL_LAWS[0], _CELL_JOBS, cfg, n, rng, 10_000)
+
+
+@st.composite
+def _cell_states(draw, kinds=("service", "cluster")):
+    """A kernel with a drawn fleet: per cell dead, busy or free, its
+    pool, and an age at 0, at the boot-grace edge, just below, at or
+    past its pool's ``t_max``, anywhere, or negative (a launch after
+    ``now``, which the judged age clamps to 0).  Some rows hold no free
+    VM.  Returns ``(kernel, rr, free, T)`` with ``rr`` a drawn subset of
+    the rows in drawn order and ``T`` its per-row head lengths, 0 and
+    sub-clamp lengths included."""
+    kind = draw(st.sampled_from(kinds))
+    n_pools = draw(st.sampled_from([1, 3]))
+    latency = 0.0 if kind == "cluster" else draw(st.sampled_from([0.0, 0.25, 1.0]))
+    n = draw(st.integers(1, 5))
+    k = _cell_kernel(kind, n_pools, latency, n)
+    for r in range(n):
+        k.now[r] = draw(st.sampled_from([0.0, 3.0, 7.5]))
+        no_free = draw(st.integers(0, 3)) == 0
+        for c in range(k.S):
+            p = draw(st.integers(0, n_pools - 1))
+            t_max = _POOL_LAWS[p].t_max
+            grace = k.latency[p]
+            age = draw(
+                st.one_of(
+                    st.sampled_from(
+                        [0.0, grace, np.nextafter(grace, np.inf),
+                         np.nextafter(t_max, 0.0), t_max, t_max + 0.5, -0.3]
+                    ),
+                    st.floats(0.0, 1.2 * t_max),
+                )
+            )
+            state = draw(st.sampled_from(["dead", "busy", "free", "free"]))
+            if no_free and state == "free":
+                state = "busy"
+            k.alive[r, c] = state != "dead"
+            k.vm_job[r, c] = 0 if state == "busy" else -1
+            k.vm_pool[r, c] = p if state != "dead" else -1
+            k.launch[r, c] = k.now[r] - age
+        k.progress[r] = [draw(st.floats(0.0, 6.0)) for _ in range(k.J)]
+    rr = np.asarray(draw(st.permutations(range(n))))[: draw(st.integers(1, n))]
+    free = k.alive[rr] & (k.vm_job[rr] == -1)
+    T = np.asarray(
+        [
+            draw(st.one_of(st.sampled_from([0.0, 1e-9, 1e-6, 25.0]), st.floats(1e-6, 40.0)))
+            for _ in rr
+        ]
+    )
+    return k, rr, free, T
+
+
+def _full_row_pure(kernel, rr, T):
+    """Pure Eq. 8 on whole fleet rows, each VM under its pool's law:
+    the row judgment the cell path replaced.  ``T`` broadcasts against
+    the ``(len(rr), S)`` ages from the left."""
+    ages = np.maximum(kernel.now[rr][:, None] - kernel.launch[rr], 0.0)
+    vp = kernel.vm_pool[rr]
+    if T.ndim == 3:  # (R, J, 1) lengths: per-job rows
+        ages, vp = ages[:, None, :], vp[:, None, :]
+    pure = np.zeros(np.broadcast_shapes(T.shape, ages.shape), dtype=bool)
+    for p, pol in enumerate(kernel.policies):
+        pure |= (vp == p) & pol.decide_pairs(T, ages)
+    return pure, ages, vp
+
+
+class TestCellJudgment:
+    """The cell judgment equals the full-row judgment it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_cell_states())
+    def test_judge_matches_full_row_reference(self, state):
+        k, rr, free, T = state
+        pure, ages, vp = _full_row_pure(k, rr, np.maximum(T, 1e-6)[:, None])
+        grace = False
+        if isinstance(k, _ServiceKernel):
+            grace = ages <= k.latency[np.clip(vp, 0, None)]
+        want = free & (pure | grace)
+        assert np.array_equal(k._judge(rr, free, T), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_cell_states(kinds=("cluster",)))
+    def test_cluster_backfill_suit_matches_full_row_reference(self, state):
+        """The ``(R, J, S)`` per-job mask: every free cell under every
+        job's remaining hours."""
+        k, rr, free, _ = state
+        T = np.maximum(k.work[None, :] - k.progress[rr], 1e-6)[:, :, None]
+        want = free[:, None, :] & _full_row_pure(k, rr, T)[0]
+        got = k._backfill_suit(rr, free)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
