@@ -195,24 +195,30 @@ class ModelReusePolicy:
 
         The fully-batched counterpart of :meth:`decide`: element ``i``
         asks about a job of length ``job_lengths[i]`` on a VM aged
-        ``vm_ages[i]``, the arrays broadcasting against each other (the
-        kernels pass equal-shape 1-D cells).  The aged costs and the
-        fresh-VM costs, taken at the lengths' own shape, come from one
-        :meth:`reuse_cost_pairs` pass.  Same decisions as the scalar
-        form at every element (pinned by the test suite).
+        ``vm_ages[i]`` (the arrays broadcast).  The fresh-VM cost rides
+        in the aged :meth:`reuse_cost_pairs` pass, taken once for a
+        scalar length and once per run of equal lengths in 1-D
+        equal-shape pairs (the kernels' cells, a row's cells adjacent);
+        other shapes take it in a second pass.  Same decisions as the
+        scalar form at every element (pinned by the test suite).
         """
         T = np.asarray(job_lengths, dtype=float)
         s = np.asarray(vm_ages, dtype=float)
-        Tb, sb = T, s
-        if T.shape != s.shape:
-            shape = np.broadcast_shapes(T.shape, s.shape)
-            Tb, sb = np.broadcast_to(T, shape), np.broadcast_to(s, shape)
-        n = sb.size
-        cost = self.reuse_cost_pairs(
-            np.concatenate((Tb.ravel(), T.ravel())),
-            np.concatenate((sb.ravel(), np.zeros(T.size))),
-        )
-        aged, fresh = cost[:n].reshape(sb.shape), cost[n:].reshape(T.shape)
+        if T.ndim == 0:
+            cost = self.reuse_cost_pairs(T, np.append(s, 0.0))
+            aged, fresh = cost[:-1].reshape(s.shape), cost[-1]
+        elif T.ndim == 1 and T.shape == s.shape:
+            n, lengths, at = T.size, T[:1], slice(None)
+            step = T[1:] != T[:-1]
+            if np.count_nonzero(step):
+                new = np.concatenate(([True], step))
+                lengths, at = T[new], np.cumsum(new) - 1
+            ages = np.concatenate((s, np.zeros(lengths.size)))
+            cost = self.reuse_cost_pairs(np.concatenate((T, lengths)), ages)
+            aged, fresh = cost[:n], cost[n:][at]
+        else:
+            aged = self.reuse_cost_pairs(T, s)
+            fresh = self.reuse_cost_pairs(T, np.zeros(T.shape))
         return (aged <= fresh) & (s < self.dist.t_max)
 
     def failure_probability_batch(self, job_length: float, vm_ages) -> np.ndarray:

@@ -73,13 +73,15 @@ def _lengths(draw, shape) -> np.ndarray:
 @st.composite
 def _cases(draw):
     """``(params, lengths, ages)`` in the kernels' equal-shape 1-D cell
-    shape, the ``(k, 1) x (k, S)`` row shape or the scalar-length x
-    age-array shape."""
+    shape (each row's length repeated over its free cells, rows with
+    none and all-empty calls included), the ``(k, 1) x (k, S)`` row
+    shape or the scalar-length x age-array shape."""
     params = draw(_params)
     t_max = BathtubDistribution(params).t_max
     shape = draw(st.sampled_from(["cells", "rows", "scalar"]))
     if shape == "cells":
-        T = _lengths(draw, (draw(st.integers(1, 12)),))
+        rows = _lengths(draw, (draw(st.integers(1, 6)),))
+        T = np.repeat(rows, [draw(st.integers(0, 4)) for _ in rows])
         return params, T, _ages(draw, t_max, T, T.shape)
     if shape == "rows":
         k, S = draw(st.integers(1, 5)), draw(st.integers(1, 6))
@@ -113,8 +115,9 @@ class TestFusedWindowTerms:
     @settings(max_examples=150, deadline=None)
     @given(_cases(), st.sampled_from(["paper", "conditional"]))
     def test_decide_pairs_fresh_column_matches_two_calls(self, case, criterion):
-        """The fresh-VM costs folded into the aged pass decide exactly
-        like the separate age-0 evaluation."""
+        """The fresh-VM costs, taken once per length and folded into
+        the aged pass, decide exactly like the separate age-0
+        evaluation at every element."""
         params, T, s = case
         pol = ModelReusePolicy(BathtubDistribution(params), criterion)
         aged = pol.reuse_cost_pairs(T, s)
