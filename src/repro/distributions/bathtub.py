@@ -71,15 +71,19 @@ class BathtubDistribution(LifetimeDistribution):
     def reuse_window_terms(self, ages, lengths):
         """Fused closed form of the base-class Eq. 8 window terms.
 
-        Four exponentials — ``e^{-x/tau1}`` and ``e^{(x-b)/tau2}`` at
-        ``x = min(s, t_max)`` and ``x = min(s+T, t_max)`` — shared
-        between the Eq. 3 antiderivative ``G`` and the Eq. 1 CDF ``F``.
-        Every expression repeats the operation order of
+        One stacked pass over ``x``, the window starts
+        ``a = min(s, t_max)`` followed by the window ends
+        ``c = min(s+T, t_max)``: a single ``np.exp`` call takes all four
+        exponent sets, ``e^{-x/tau1}`` and ``e^{(x-b)/tau2}`` at both
+        bounds, and the Eq. 3 antiderivative ``G`` and the clipped Eq. 1
+        CDF ``F`` are each evaluated once over ``x``, then split back
+        into the start's shape (the age's) and the end's (the broadcast
+        shape).  Every element goes through the operations of
         :meth:`ConstrainedPreemptionModel.moment_antiderivative` and
-        :meth:`ConstrainedPreemptionModel.cdf`, so the three terms are
-        bit-identical to the base composition on its domain
-        (``s >= 0``, ``T > 0``).  Clipping the start age at ``t_max``
-        leaves ``F(s)`` unchanged: the CDF is pinned to 1 from
+        :meth:`ConstrainedPreemptionModel.cdf` in their order, so the
+        three terms are bit-identical to the base composition on its
+        domain (``s >= 0``, ``T > 0``).  Clipping the start age at
+        ``t_max`` leaves ``F(s)`` unchanged: the CDF is pinned to 1 from
         ``t_max`` on.
         """
         p = self.model.params
@@ -88,19 +92,20 @@ class BathtubDistribution(LifetimeDistribution):
         s = np.asarray(ages, dtype=float)
         a = np.minimum(s, t_max)
         c = np.minimum(s + np.asarray(lengths, dtype=float), t_max)
-        a1, a2 = np.exp(-a / tau1), np.exp((a - b) / tau2)
-        c1, c2 = np.exp(-c / tau1), np.exp((c - b) / tau2)
-        g_a = A * (-(a + tau1) * a1 + (a - tau2) * a2)
-        g_c = A * (-(c + tau1) * c1 + (c - tau2) * c2)
-        moment = np.where(c > a, g_c - g_a, 0.0)
+        x = np.concatenate((a.ravel(), c.ravel()))
+        m = x.size
+        e = np.exp(np.concatenate((-x / tau1, (x - b) / tau2)))
+        e1, e2 = e[:m], e[m:]
+        g = A * (-(x + tau1) * e1 + (x - tau2) * e2)
         # np.clip(raw, 0, 1) spelled as its two ufuncs (same bits, less
         # call overhead on the kernels' small arrays).
-        f_a = np.where(
-            a >= t_max, 1.0, np.minimum(np.maximum(A * (1.0 - a1 + a2), 0.0), 1.0)
+        f = np.where(
+            x >= t_max, 1.0, np.minimum(np.maximum(A * (1.0 - e1 + e2), 0.0), 1.0)
         )
-        f_c = np.where(
-            c >= t_max, 1.0, np.minimum(np.maximum(A * (1.0 - c1 + c2), 0.0), 1.0)
-        )
+        n = a.size
+        g_a, g_c = g[:n].reshape(a.shape), g[n:].reshape(c.shape)
+        f_a, f_c = f[:n].reshape(a.shape), f[n:].reshape(c.shape)
+        moment = np.where(c > a, g_c - g_a, 0.0)
         return moment, 1.0 - f_a, f_c - f_a
 
     def mean(self) -> float:

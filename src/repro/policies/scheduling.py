@@ -186,9 +186,11 @@ class ModelReusePolicy:
         moment, surv, mass = self.dist.reuse_window_terms(s, T)
         if self.criterion == "paper":
             return moment
+        gain = np.maximum(moment - s * mass, 0.0)
         alive = surv > 0.0
-        cost = np.maximum(moment - s * mass, 0.0) / np.where(alive, surv, 1.0)
-        return np.where(alive, cost, np.inf)
+        if alive.all():  # no dead start age to guard (the usual case)
+            return gain / surv
+        return np.where(alive, gain / np.where(alive, surv, 1.0), np.inf)
 
     def decide_pairs(self, job_lengths, vm_ages) -> np.ndarray:
         """Eq. 8 decisions over paired (length, age) arrays: ``True`` = reuse.

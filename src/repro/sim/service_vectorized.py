@@ -395,7 +395,7 @@ class _ServiceKernel(_LockstepKernel):
         n_alive = self.alive[rr].sum(axis=1)
         deficit = w - n_suit - self.provisioning[rr]
         headroom = self._fleet_cap(rr) - n_alive - self.provisioning[rr]
-        k = np.clip(np.minimum(deficit, headroom), 0, None)
+        k = np.maximum(np.minimum(deficit, headroom), 0)
         self._schedule_boots(rr, k, self._pool_rank_rows(rr, head))
 
     def _pool_rank_rows(
@@ -506,7 +506,7 @@ class _ServiceKernel(_LockstepKernel):
         self.btime[rr, slot] = np.inf
         self.bseq[rr, slot] = _SEQ_INF
         self.provisioning[rr] -= 1
-        pool = np.clip(self.boot_pool[rr, slot], 0, None)
+        pool = np.maximum(self.boot_pool[rr, slot], 0)
         self.boot_pool[rr, slot] = -1
         self.provisioning_pool[rr, pool] -= 1
         self._add_vm(rr, pool)

@@ -451,7 +451,7 @@ class _TenancyKernel(_ServiceKernel):
         if jj is None:
             return super()._rank_cols(rr)
         return self.rank_of_by_home[
-            self.job_home[jj][:, None], np.clip(self.vm_pool[rr], 0, None)
+            self.job_home[jj][:, None], np.maximum(self.vm_pool[rr], 0)
         ]
 
     def _pool_rank_rows(

@@ -684,7 +684,7 @@ class _LockstepKernel:
         """
         if self.nP == 1:
             return None
-        return self.rank_of[np.clip(self.vm_pool[rr], 0, None)]
+        return self.rank_of[np.maximum(self.vm_pool[rr], 0)]
 
     def _add_vm(self, rr: np.ndarray, pool: np.ndarray) -> None:
         """One fresh VM joins each row in ``pool``: draw its lifetime,

@@ -17,7 +17,7 @@ from repro.core.model import BathtubParams
 from repro.distributions.base import LifetimeDistribution
 from repro.distributions.bathtub import BathtubDistribution
 from repro.distributions.exponential import ExponentialDistribution
-from repro.policies.scheduling import ModelReusePolicy
+from repro.policies.scheduling import ModelReusePolicy, SchedulingDecision
 from repro.sim.cluster_vectorized import ClusterConfig, GangJob, _ClusterKernel
 from repro.sim.placement import PoolSpec
 from repro.sim.service_vectorized import ServiceBatchConfig, _ServiceKernel
@@ -133,6 +133,111 @@ class TestFusedWindowTerms:
             composed = LifetimeDistribution.reuse_window_terms(reference_dist, s, T)
             for got, want in zip(fused, composed):
                 assert np.array_equal(got, want)
+
+
+def _strided(draw, arr: np.ndarray) -> np.ndarray:
+    """A non-contiguous view holding ``arr``'s values: every other
+    element of a wider buffer, or a double flip (negative strides)."""
+    if draw(st.booleans()):
+        buf = np.zeros(arr.shape + (2,))
+        buf[..., 0] = arr
+        return buf[..., 0]
+    return np.flip(np.flip(arr).copy())
+
+
+#: ``(age shape, length shape)`` pairs with no element, in the kernels'
+#: cell, row and scalar layouts.
+_EMPTY_SHAPES = [
+    ((0,), (0,)), ((0,), ()), ((), (0,)), ((3, 0), (3, 1)), ((0, 4), (0, 1))
+]
+
+
+class TestStackedPass:
+    """The stacked ``x = (a, c)`` layout of the bathtub override: each
+    element's terms do not depend on where the element sits."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_cases())
+    def test_each_element_matches_its_one_element_call(self, case):
+        params, T, s = case
+        dist, ref = BathtubDistribution(params), _ComposedBathtub(params)
+        moment, surv, mass = dist.reuse_window_terms(s, T)
+        shape = moment.shape
+        surv = np.broadcast_to(surv, shape)
+        s_b, T_b = np.broadcast_to(s, shape), np.broadcast_to(T, shape)
+        for idx in np.ndindex(*shape):
+            one = (np.array([s_b[idx]]), np.array([T_b[idx]]))
+            got = dist.reuse_window_terms(*one)
+            want = ref.reuse_window_terms(*one)
+            for term, g, w in zip((moment, surv, mass), got, want):
+                assert g[0] == term[idx]
+                assert np.array_equal(g, w)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_strided_views_match_contiguous_copies(self, data):
+        params, T, s = data.draw(_cases())
+        dist = BathtubDistribution(params)
+        s_view, T_view = _strided(data.draw, s), _strided(data.draw, T)
+        assert np.array_equal(s_view, s) and np.array_equal(T_view, T)
+        got = dist.reuse_window_terms(s_view, T_view)
+        want = dist.reuse_window_terms(
+            np.ascontiguousarray(s), np.ascontiguousarray(T)
+        )
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
+            assert np.array_equal(g, w)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_params, st.sampled_from(_EMPTY_SHAPES))
+    def test_empty_inputs_give_empty_terms_of_the_base_shapes(self, params, shapes):
+        s_shape, T_shape = shapes
+        s, T = np.zeros(s_shape), np.ones(T_shape)
+        got = BathtubDistribution(params).reuse_window_terms(s, T)
+        want = _ComposedBathtub(params).reuse_window_terms(s, T)
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
+            assert np.array_equal(g, w)
+        moment, surv, mass = got
+        assert moment.size == mass.size == 0
+        assert np.shape(surv) == s_shape  # a scalar age keeps its S(s)
+
+
+class TestAllAliveFastPath:
+    """Both branches of ``reuse_cost_pairs``' all-alive shortcut equal
+    the base composition, under both criteria."""
+
+    @pytest.mark.parametrize("criterion", ["paper", "conditional"])
+    def test_every_age_below_t_max(self, reference_dist, criterion):
+        t_max = reference_dist.t_max
+        s = np.array([0.0, 0.5, 6.0, 18.0, t_max - 1.0, np.nextafter(t_max, 0.0)])
+        T = np.array([1.0, 4.0, 4.0, 12.0, 2.0, 0.5])
+        fused = ModelReusePolicy(reference_dist, criterion)
+        composed = ModelReusePolicy(_ComposedBathtub(reference_dist.model), criterion)
+        assert (reference_dist.reuse_window_terms(s, T)[1] > 0.0).all()
+        cost = fused.reuse_cost_pairs(T, s)
+        assert np.isfinite(cost).all()
+        assert np.array_equal(cost, composed.reuse_cost_pairs(T, s))
+        assert np.array_equal(fused.decide_pairs(T, s), composed.decide_pairs(T, s))
+
+    @pytest.mark.parametrize("criterion", ["paper", "conditional"])
+    @pytest.mark.parametrize("dead", ["at", "past"])
+    def test_one_age_at_or_past_t_max(self, reference_dist, criterion, dead):
+        t_max = reference_dist.t_max
+        edge = t_max if dead == "at" else t_max + 0.5
+        s = np.array([0.5, edge, 6.0])
+        T = np.array([4.0, 4.0, 4.0])
+        fused = ModelReusePolicy(reference_dist, criterion)
+        composed = ModelReusePolicy(_ComposedBathtub(reference_dist.model), criterion)
+        assert reference_dist.reuse_window_terms(s, T)[1][1] == 0.0
+        cost = fused.reuse_cost_pairs(T, s)
+        assert np.array_equal(cost, composed.reuse_cost_pairs(T, s))
+        if criterion == "conditional":
+            assert cost[1] == np.inf and np.isfinite(cost[[0, 2]]).all()
+        verdict = fused.decide_pairs(T, s)
+        assert np.array_equal(verdict, composed.decide_pairs(T, s))
+        assert not verdict[1]
+        assert fused.decide(4.0, edge) is SchedulingDecision.NEW_VM
 
 
 def _critical_age_loop(pol: ModelReusePolicy, T: float, tol: float = 1e-6) -> float:
